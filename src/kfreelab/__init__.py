@@ -65,10 +65,9 @@ from .sampler import (
     init_chain,
     retained_samples,
     run_steps,
-    step,
     tv_diagnostic,
 )
-from .thresholds import ThresholdQuery, m_r, p_r, t_ell, theta
+from .thresholds import m_r, p_r, t_ell, theta
 from .turan import (
     MultipartiteHost,
     balanced_sizes,

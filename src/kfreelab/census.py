@@ -1,7 +1,8 @@
 """Exact census of all labeled graphs on n <= 8 vertices.
 
 For every edge count m the table records how many graphs avoid K_{r+1}
-(free), how many are r-colorable, how many are both, how many have a
+(free), how many are r-colorable, how many are both (always the
+r-colorable ones: r classes cannot hold an (r+1)-clique), how many have a
 unique proper r-coloring (counted over set-partitions, not color-vector
 labelings, so permuting color names does not inflate the count), and the
 partition pair-sum  sum_{Pi} C(e(Pi), m)  over all partitions of [n] into
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,29 +119,40 @@ def _partition_cross_masks(n: int, r: int) -> List[int]:
     return [p.cross_edge_mask() for p in enumerate_partitions(n, r)]
 
 
+def _clique_layer(n: int, k: int, low_bits: int, shard_value: int) -> np.ndarray:
+    """For every mask of the shard (indexed by its low bits), the number of
+    k-clique edge sets it contains."""
+    size = 1 << low_bits
+    low_mask = size - 1
+    a = np.zeros(size, dtype=np.uint8)
+    for cm in _clique_edge_masks(n, k):
+        if cm >> low_bits & ~shard_value == 0:  # high part within the shard
+            a[cm & low_mask] += 1
+    _subset_zeta_inplace(a)
+    return a
+
+
+def _partition_layer(n: int, r: int, low_bits: int, shard_value: int) -> np.ndarray:
+    """For every mask of the shard (indexed by its low bits), the number of
+    partitions into at most r classes whose cross pairs cover it."""
+    size = 1 << low_bits
+    low_mask = size - 1
+    a = np.zeros(size, dtype=np.uint16)
+    for pm in _partition_cross_masks(n, r):
+        if pm >> low_bits & shard_value == shard_value:  # high part covers shard
+            a[pm & low_mask] += 1
+    _superset_zeta_inplace(a)
+    return a
+
+
 def _census_shard(args: Tuple[int, int, int, int]) -> Tuple[np.ndarray, ...]:
     """Tally one shard: all masks whose top bits equal the shard value."""
     n, r, low_bits, shard_value = args
     nslots = n * (n - 1) // 2
-    size = 1 << low_bits
-    low_mask = size - 1
     shard_pop = int(shard_value).bit_count()
-
-    nclq = np.zeros(size, dtype=np.uint8)
-    for cm in _clique_edge_masks(n, r + 1):
-        if cm >> low_bits & ~shard_value == 0:  # high part within the shard
-            nclq[cm & low_mask] += 1
-    _subset_zeta_inplace(nclq)
-
-    ncol = np.zeros(size, dtype=np.uint16)
-    for pm in _partition_cross_masks(n, r):
-        if pm >> low_bits & shard_value == shard_value:  # high part covers shard
-            ncol[pm & low_mask] += 1
-    _superset_zeta_inplace(ncol)
-
+    nclq = _clique_layer(n, r + 1, low_bits, shard_value)
+    ncol = _partition_layer(n, r, low_bits, shard_value)
     pop = _popcount_array(low_bits)
-    free = nclq == 0
-    rcol = ncol > 0
 
     def tally(sel: np.ndarray) -> np.ndarray:
         bc = np.bincount(pop[sel], minlength=low_bits + 1)
@@ -147,7 +160,15 @@ def _census_shard(args: Tuple[int, int, int, int]) -> Tuple[np.ndarray, ...]:
         out[shard_pop : shard_pop + bc.size] = bc
         return out
 
-    return tally(free), tally(rcol), tally(free & rcol), tally(ncol == 1)
+    return tally(nclq == 0), tally(ncol > 0), tally(ncol == 1)
+
+
+def shard_count(n: int, shards: Optional[int] = None) -> int:
+    """The shard count run_census uses: shards if given, else 1 below n=8
+    and 16 at n=8."""
+    if shards is not None:
+        return shards
+    return 16 if n * (n - 1) // 2 > 24 else 1
 
 
 def run_census(
@@ -168,8 +189,7 @@ def run_census(
     if r < 1:
         raise DomainError(f"r={r}: need at least one color class")
     nslots = n * (n - 1) // 2
-    if shards is None:
-        shards = 16 if nslots > 24 else 1
+    shards = shard_count(n, shards)
     if shards < 1 or shards & (shards - 1):
         raise DomainError(f"shards={shards}: must be a power of two")
     shard_bits = shards.bit_length() - 1
@@ -188,12 +208,10 @@ def run_census(
 
     free = np.zeros(nslots + 1, dtype=np.int64)
     rcol = np.zeros(nslots + 1, dtype=np.int64)
-    free_rcol = np.zeros(nslots + 1, dtype=np.int64)
     unique = np.zeros(nslots + 1, dtype=np.int64)
-    for f, c, fc, u in parts:
+    for f, c, u in parts:
         free += f
         rcol += c
-        free_rcol += fc
         unique += u
 
     # pair-sum column: aggregate partitions by their cross-pair count first,
@@ -203,7 +221,7 @@ def run_census(
         CensusRow(
             m=m,
             free=int(free[m]),
-            free_rcol=int(free_rcol[m]),
+            free_rcol=int(rcol[m]),  # r-colorable implies K_{r+1}-free
             rcol=int(rcol[m]),
             unique_rcol=int(unique[m]),
             pair_sum=sum(cnt * math.comb(e, m) for e, cnt in cross_counts.items()),
@@ -245,7 +263,11 @@ def pair_sum(n: int, r: int, m: int, gamma: Optional[float] = None) -> int:
 
 
 def save_census(table: CensusTable, path) -> None:
-    """Versioned line-oriented text file with a trailing SHA-256 checksum."""
+    """Versioned line-oriented text file with a trailing SHA-256 checksum.
+
+    Written to a temporary file in the same directory and renamed into
+    place, so a crashed or concurrent writer never leaves a truncated file
+    at path."""
     body = f"{CENSUS_FORMAT_VERSION} n={table.n} r={table.r}\n"
     for row in table.rows:
         body += (
@@ -254,9 +276,16 @@ def save_census(table: CensusTable, path) -> None:
         )
     payload = body.encode("ascii")
     digest = hashlib.sha256(payload).hexdigest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(f"checksum={digest}\n".encode("ascii"))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(f"checksum={digest}\n".encode("ascii"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_census(path) -> CensusTable:
@@ -314,23 +343,9 @@ def summary_counts(n: int, r: int, m: int) -> Dict[Tuple[bool, int], int]:
     nslots = n * (n - 1) // 2
     if not 0 <= m <= nslots:
         raise DomainError(f"m={m}: edge count outside 0..{nslots}")
-    size = 1 << nslots
-
-    nclq = np.zeros(size, dtype=np.uint8)
-    for cm in _clique_edge_masks(n, r + 1):
-        nclq[cm] += 1
-    _subset_zeta_inplace(nclq)
-
-    ntri = np.zeros(size, dtype=np.uint8)
-    for cm in _clique_edge_masks(n, 3):
-        ntri[cm] += 1
-    _subset_zeta_inplace(ntri)
-
-    ncol = np.zeros(size, dtype=np.uint16)
-    for pm in _partition_cross_masks(n, r):
-        ncol[pm] += 1
-    _superset_zeta_inplace(ncol)
-
+    nclq = _clique_layer(n, r + 1, nslots, 0)
+    ntri = _clique_layer(n, 3, nslots, 0)
+    ncol = _partition_layer(n, r, nslots, 0)
     pop = _popcount_array(nslots)
     sel = (nclq == 0) & (pop == m)
     rcol = (ncol[sel] > 0).astype(np.int64)

@@ -113,21 +113,22 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _census_shard_count(n: int, shards: Optional[int]) -> int:
-    if shards is not None:
-        return shards
-    return 16 if n * (n - 1) // 2 > 24 else 1
-
-
 def _cached_census(args: argparse.Namespace) -> Tuple[census.CensusTable, int]:
     """Load from --cache-dir when a valid cache exists, else compute (and
-    cache when a directory is configured)."""
+    cache when a directory is configured).  A cached table for another
+    (n, r) than its file name states is a cache error."""
     n, r = args.n, args.r
-    shards = _census_shard_count(n, args.shards)
+    shards = census.shard_count(n, args.shards)
     cache_dir = args.cache_dir or os.environ.get("KFREE_CACHE_DIR")
     path = os.path.join(cache_dir, f"census_n{n}_r{r}.txt") if cache_dir else None
     if path and os.path.exists(path):
-        return census.load_census(path), shards
+        table = census.load_census(path)
+        if (table.n, table.r) != (n, r):
+            raise CacheError(
+                f"{path}: holds the census for n={table.n}, r={table.r}, "
+                f"but n={n}, r={r} was requested"
+            )
+        return table, shards
     table = census.run_census(n, r, shards=args.shards, jobs=args.jobs)
     if path:
         os.makedirs(cache_dir, exist_ok=True)

@@ -105,12 +105,6 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.edges >> pair_index(self.n, u, v) & 1)
 
-    def with_edge(self, u: int, v: int) -> "LabeledGraph":
-        return LabeledGraph(self.n, self.edges | 1 << pair_index(self.n, u, v))
-
-    def without_edge(self, u: int, v: int) -> "LabeledGraph":
-        return LabeledGraph(self.n, self.edges & ~(1 << pair_index(self.n, u, v)))
-
     def edge_list(self) -> List[Tuple[int, int]]:
         pt = pair_table(self.n)
         mask = self.edges
@@ -303,32 +297,32 @@ def enumerate_partitions(n: int, r: int) -> Iterator[Partition]:
 # ---------------------------------------------------------------------------
 
 
+def _clique_in_mask(adj: Sequence[int], cand: int, k: int) -> bool:
+    # Does the subgraph induced on the vertex mask cand contain K_k?
+    # Recursive neighbor-mask intersection, candidates restricted to vertices
+    # above the last one picked so each clique is visited once.
+    if k <= 0:
+        return True
+    while cand:
+        if cand.bit_count() < k:
+            return False
+        low = cand & -cand
+        cand ^= low
+        if _clique_in_mask(adj, cand & adj[low.bit_length() - 1], k - 1):
+            return True
+    return False
+
+
 def contains_clique(g: LabeledGraph, k: int) -> bool:
     """True iff g has k pairwise-adjacent vertices.
 
     k > n returns False (no clique possible); k <= 0 is vacuously True.
-    Recursive neighbor-mask intersection, candidates restricted to vertices
-    above the last one picked so each clique is visited once.
     """
     if k <= 0:
         return True
     if k > g.n:
         return False
-    adj = g.adjacency()
-
-    def rec(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            low = cand & -cand
-            cand ^= low
-            if rec(cand & adj[low.bit_length() - 1], need - 1):
-                return True
-        return False
-
-    return rec((1 << g.n) - 1, k)
+    return _clique_in_mask(g.adjacency(), (1 << g.n) - 1, k)
 
 
 def count_cliques(g: LabeledGraph, k: int) -> int:
@@ -443,6 +437,13 @@ def _extendable(adj: Sequence[int], n: int, r: int, color: List[int]) -> bool:
         return False
 
     return rec(undecided)
+
+
+def _colorable(adj: Sequence[int], n: int, r: int) -> bool:
+    # Decision-only r-colorability of the graph with neighbor masks adj.
+    if r == 2:
+        return _bipartition_least(adj, n) is not None
+    return _extendable(adj, n, r, [-1] * n)
 
 
 def is_r_colorable(g: LabeledGraph, r: int) -> Optional[Partition]:

@@ -38,7 +38,7 @@ import numpy as np
 from . import census
 from .errors import DomainError, InfeasibleError, SizeError
 from .graph_core import MAX_VERTICES, LabeledGraph, pair_table
-from .graph_core import _extendable  # decision-only colorability, shared backtracker
+from .graph_core import _clique_in_mask, _colorable  # shared kernels
 from .turan import ex_turan, turan_graph
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ChainState",
     "EstimateResult",
     "init_chain",
-    "step",
     "run_steps",
     "retained_samples",
     "estimate_rpartite",
@@ -138,31 +137,7 @@ class ChainState:
         return total // 3
 
     def is_r_colorable(self) -> bool:
-        cfg = self.cfg
-        if cfg.r == 2:
-            return _bipartite(self.adj, cfg.n)
-        return _extendable(self.adj, cfg.n, cfg.r, [-1] * cfg.n)
-
-
-def _bipartite(adj: List[int], n: int) -> bool:
-    color = [-1] * n
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            nb = adj[u]
-            while nb:
-                w = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+        return _colorable(self.adj, self.cfg.n, self.cfg.r)
 
 
 def init_chain(cfg: ChainConfig, chain_index: int = 0) -> ChainState:
@@ -190,22 +165,6 @@ def init_chain(cfg: ChainConfig, chain_index: int = 0) -> ChainState:
     return ChainState(cfg, pt, adj, present, absent, rng)
 
 
-def _mask_clique(adj: List[int], cand: int, k: int) -> bool:
-    """Does the induced subgraph on the candidate mask contain K_k?
-    Vertices are consumed in increasing order, so each clique is probed once."""
-    if k <= 0:
-        return True
-    if cand.bit_count() < k:
-        return False
-    rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if _mask_clique(adj, rest & adj[v], k - 1):
-            return True
-    return False
-
-
 def _attempt_swap(state: ChainState, i: int, j: int) -> bool:
     adj = state.adj
     e = state.present[i]
@@ -216,7 +175,7 @@ def _attempt_swap(state: ChainState, i: int, j: int) -> bool:
     adj[ve] &= ~(1 << ue)
     # a new clique on r+1 vertices through (uf,vf) needs K_{r-1} among
     # their common neighbors
-    if not _mask_clique(adj, adj[uf] & adj[vf], state.cfg.r - 1):
+    if not _clique_in_mask(adj, adj[uf] & adj[vf], state.cfg.r - 1):
         adj[uf] |= 1 << vf
         adj[vf] |= 1 << uf
         state.present[i] = f
@@ -228,20 +187,6 @@ def _attempt_swap(state: ChainState, i: int, j: int) -> bool:
     return False
 
 
-def step(state: ChainState) -> bool:
-    """One Metropolis move; returns whether it was accepted.  When either
-    pool is empty the state space is a single graph and the move is a
-    counted self-loop."""
-    state.steps_taken += 1
-    m = len(state.present)
-    a = len(state.absent)
-    if m == 0 or a == 0:
-        return False
-    i = int(state.rng.integers(m))
-    j = int(state.rng.integers(a))
-    return _attempt_swap(state, i, j)
-
-
 def run_steps(
     state: ChainState,
     nsteps: int,
@@ -251,7 +196,9 @@ def run_steps(
     """Advance the chain nsteps moves, drawing proposal indices in blocks
     (one rng call per block keeps the per-move cost down).  on_sample
     fires at every step s with s > burn_in and (s - burn_in) % thin == 0,
-    counting steps from the chain's creation."""
+    counting steps from the chain's creation.  When either pool is empty
+    the state space is a single graph and every move is a counted
+    self-loop."""
     cfg = state.cfg
     burn_in, thin = cfg.burn_in, cfg.thin
     m = len(state.present)

@@ -23,12 +23,10 @@ only for display).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError
 
-__all__ = ["ThresholdQuery", "theta", "m_r", "p_r", "t_ell"]
+__all__ = ["theta", "m_r", "p_r", "t_ell"]
 
 
 def _check_r(r: int) -> None:
@@ -44,22 +42,6 @@ def _check_n(n: float) -> None:
             f"n={n}: threshold formulas need n >= 3 (log-domain: the "
             f"(log n)^(1/(C(r+1,2)-1)) factor requires log n >= 1)"
         )
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """A (n, r[, ell]) triple validated once, for batch CLI evaluation."""
-
-    n: int
-    r: int
-    ell: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"n={self.n}: need n >= 2")
-        _check_r(self.r)
-        if self.ell is not None and self.ell < 1:
-            raise DomainError(f"ell={self.ell}: need ell >= 1")
 
 
 def theta(r: int) -> float:

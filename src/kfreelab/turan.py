@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 
 from .errors import DomainError, SizeError, UnsupportedCaseError
 from .graph_core import LabeledGraph, contains_clique
+from .graph_core import _clique_in_mask  # shared clique-in-mask kernel
 
 __all__ = [
     "MultipartiteHost",
@@ -166,22 +167,6 @@ def brute_force_ex(host_graph: LabeledGraph, k: int, exhaustive: bool = False) -
     adj = [0] * n  # adjacency of the chosen subgraph, mutated along the DFS
     best = 0
 
-    def completes_clique(u: int, v: int) -> bool:
-        # does adding u-v to the chosen subgraph create a K_k?
-        def rec(cand: int, need: int) -> bool:
-            if need == 0:
-                return True
-            while cand:
-                if cand.bit_count() < need:
-                    return False
-                low = cand & -cand
-                cand ^= low
-                if rec(cand & adj[low.bit_length() - 1], need - 1):
-                    return True
-            return False
-
-        return rec(adj[u] & adj[v], k - 2)
-
     def dfs(i: int, chosen: int) -> None:
         nonlocal best
         if chosen + (len(edges) - i) <= best:
@@ -190,7 +175,8 @@ def brute_force_ex(host_graph: LabeledGraph, k: int, exhaustive: bool = False) -
             best = chosen
             return
         u, v = edges[i]
-        if not completes_clique(u, v):
+        # adding u-v creates a K_k iff their common neighbors hold a K_{k-2}
+        if not _clique_in_mask(adj, adj[u] & adj[v], k - 2):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             dfs(i + 1, chosen + 1)

@@ -100,6 +100,26 @@ def test_census_corrupt_cache_is_io_error(tmp_path, capsys):
     assert rc == 4 and "i/o error" in err
 
 
+def test_census_cache_for_other_n_is_io_error(tmp_path, capsys):
+    run(capsys, "census", "--n", "5", "--r", "2", "--cache-dir", str(tmp_path))
+    copied = tmp_path / "census_n6_r2.txt"
+    copied.write_bytes((tmp_path / "census_n5_r2.txt").read_bytes())
+    for cmd in ("census", "sweep"):
+        rc, out, err = run(capsys, cmd, "--n", "6", "--r", "2",
+                           "--cache-dir", str(tmp_path))
+        assert rc == 4 and out == ""
+        assert str(copied) in err and "n=5, r=2" in err and "n=6, r=2" in err
+
+
+def test_census_save_leaves_no_temp_file(tmp_path):
+    table = census.run_census(4, 2)
+    path = tmp_path / "census_n4_r2.txt"
+    census.save_census(table, path)
+    census.save_census(table, path)  # replaces an existing file too
+    assert os.listdir(tmp_path) == ["census_n4_r2.txt"]
+    assert census.load_census(path) == table
+
+
 def test_census_too_large(capsys):
     rc, _, err = run(capsys, "census", "--n", "9", "--r", "2")
     assert rc == 3 and "size guard" in err

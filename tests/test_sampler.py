@@ -17,7 +17,6 @@ from kfreelab import (
     retained_samples,
     run_census,
     run_steps,
-    step,
     turan_graph,
     tv_diagnostic,
 )
@@ -52,26 +51,28 @@ def test_init_empty():
     st = init_chain(ChainConfig(n=5, r=2, m=0))
     assert st.current_graph().edge_count == 0
     # no present edge: steps are counted self-loops
-    assert step(st) is False
+    run_steps(st, 1)
     assert st.steps_taken == 1 and st.accepted_moves == 0
 
 
 def test_no_absent_pair_self_loop():
     # r+1 > n: the complete graph is feasible and is the only state
     st = init_chain(ChainConfig(n=3, r=3, m=3))
-    assert step(st) is False
-    assert st.steps_taken == 1
+    run_steps(st, 1)
+    assert st.steps_taken == 1 and st.accepted_moves == 0
 
 
 def test_invariants_hold_along_the_run():
-    cfg = ChainConfig(n=8, r=2, m=12, seed=9)
-    st = init_chain(cfg)
-    for _ in range(25):
-        run_steps(st, 1 << 12)
-        g = st.current_graph()
-        assert g.edge_count == 12
-        assert not contains_clique(g, 3)
-        assert len(st.present) + len(st.absent) == 28
+    # r=3 runs the accept test's clique search at k=2, not only k=1
+    for cfg in (ChainConfig(n=8, r=2, m=12, seed=9),
+                ChainConfig(n=8, r=3, m=18, seed=9)):
+        st = init_chain(cfg)
+        for _ in range(25):
+            run_steps(st, 1 << 12)
+            g = st.current_graph()
+            assert g.edge_count == cfg.m
+            assert not contains_clique(g, cfg.r + 1)
+            assert len(st.present) + len(st.absent) == 28
 
 
 def test_uniform_on_connected_instance():

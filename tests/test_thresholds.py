@@ -6,7 +6,7 @@ import math
 import mpmath
 import pytest
 
-from kfreelab import DomainError, ThresholdQuery, ex_turan, m_r, p_r, t_ell, theta
+from kfreelab import DomainError, ex_turan, m_r, p_r, t_ell, theta
 
 # Frozen from a 40-digit mpmath evaluation of
 #   theta_r = (r-1)/(2r) * [ r * ((2r+2)/(r+2))^(1/(r-1)) ]^(2/(r+2))
@@ -116,11 +116,3 @@ def test_r_gate():
     with pytest.raises(DomainError):
         m_r(1000, 1)
 
-
-def test_threshold_query_validation():
-    q = ThresholdQuery(n=100, r=3)
-    assert q.ell is None
-    with pytest.raises(DomainError):
-        ThresholdQuery(n=1, r=2)
-    with pytest.raises(DomainError):
-        ThresholdQuery(n=10, r=2, ell=0)
