@@ -301,8 +301,8 @@ def _clique_in_mask(adj: Sequence[int], cand: int, k: int) -> bool:
     # Does the subgraph induced on the vertex mask cand contain K_k?
     # Recursive neighbor-mask intersection, candidates restricted to vertices
     # above the last one picked so each clique is visited once.
-    if k <= 0:
-        return True
+    if k <= 1:
+        return k <= 0 or cand != 0
     while cand:
         if cand.bit_count() < k:
             return False
@@ -353,29 +353,33 @@ def count_cliques(g: LabeledGraph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bipartition_least(adj: Sequence[int], n: int) -> Optional[List[int]]:
-    # BFS 2-coloring; per component the earliest vertex gets color 0, which
-    # makes the overall color vector lexicographically least.
-    color: List[int] = [-1] * n
-    for s in range(n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            cu = color[u]
-            nb = adj[u]
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                v = low.bit_length() - 1
-                if color[v] == -1:
-                    color[v] = 1 - cu
-                    queue.append(v)
-                elif color[v] == cu:
+def _bipartition_least(adj: Sequence[int], n: int) -> Optional[int]:
+    # Frontier-bitset BFS 2-coloring; returns the mask of color-1 vertices.
+    # Each component starts at its lowest unseen vertex with color 0 and its
+    # odd layers get color 1, so the color vector is lexicographically least.
+    # BFS layers only have edges within a layer or between adjacent layers,
+    # so the graph is bipartite iff no vertex has a neighbor in its own layer.
+    unseen = (1 << n) - 1
+    odd = 0
+    while unseen:
+        frontier = unseen & -unseen
+        parity = 0
+        while frontier:
+            unseen ^= frontier
+            reach = 0
+            f = frontier
+            while f:
+                low = f & -f
+                f ^= low
+                nb = adj[low.bit_length() - 1]
+                if nb & frontier:
                     return None
-    return color
+                reach |= nb
+            if parity:
+                odd |= frontier
+            parity ^= 1
+            frontier = reach & unseen
+    return odd
 
 
 def _extendable(adj: Sequence[int], n: int, r: int, color: List[int]) -> bool:
@@ -460,8 +464,10 @@ def is_r_colorable(g: LabeledGraph, r: int) -> Optional[Partition]:
     if r == 1:
         return Partition(n, 1, (0,) * n) if g.edges == 0 else None
     if r == 2:
-        vec = _bipartition_least(adj, n)
-        return Partition(n, 2, tuple(vec)) if vec is not None else None
+        odd = _bipartition_least(adj, n)
+        if odd is None:
+            return None
+        return Partition(n, 2, tuple(odd >> v & 1 for v in range(n)))
     color = [-1] * n
     if not _extendable(adj, n, r, color):
         return None

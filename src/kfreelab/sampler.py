@@ -17,7 +17,10 @@ Chains start from a uniformly random m-subset of the edges of the
 r-partite extremal (complete multipartite) graph, which is clique-free by
 construction.  Randomness comes from numpy's Philox generator seeded
 through SeedSequence so that multi-chain runs are reproducible and
-streams never collide.
+streams never collide.  run_steps draws the proposal indices for _BLOCK
+moves in one rng call per pool and runs the swap loop, with the state
+bound to locals, straight to the next retained sample, so the per-move
+work has no callback and no test of the recording schedule.
 
 The between-chain standard error reported by estimate_rpartite is the
 sample standard deviation of per-chain means divided by sqrt(chains);
@@ -165,71 +168,69 @@ def init_chain(cfg: ChainConfig, chain_index: int = 0) -> ChainState:
     return ChainState(cfg, pt, adj, present, absent, rng)
 
 
-def _attempt_swap(state: ChainState, i: int, j: int) -> bool:
-    adj = state.adj
-    e = state.present[i]
-    f = state.absent[j]
-    ue, ve = state.pairs[e]
-    uf, vf = state.pairs[f]
-    adj[ue] &= ~(1 << ve)
-    adj[ve] &= ~(1 << ue)
-    # a new clique on r+1 vertices through (uf,vf) needs K_{r-1} among
-    # their common neighbors
-    if not _clique_in_mask(adj, adj[uf] & adj[vf], state.cfg.r - 1):
-        adj[uf] |= 1 << vf
-        adj[vf] |= 1 << uf
-        state.present[i] = f
-        state.absent[j] = e
-        state.accepted_moves += 1
-        return True
-    adj[ue] |= 1 << ve
-    adj[ve] |= 1 << ue
-    return False
-
-
 def run_steps(
     state: ChainState,
     nsteps: int,
     *,
     on_sample: Optional[Callable[[ChainState], None]] = None,
 ) -> None:
-    """Advance the chain nsteps moves, drawing proposal indices in blocks
-    (one rng call per block keeps the per-move cost down).  on_sample
-    fires at every step s with s > burn_in and (s - burn_in) % thin == 0,
-    counting steps from the chain's creation.  When either pool is empty
-    the state space is a single graph and every move is a counted
-    self-loop."""
-    cfg = state.cfg
-    burn_in, thin = cfg.burn_in, cfg.thin
-    m = len(state.present)
-    a = len(state.absent)
-
-    def maybe_record() -> None:
-        s = state.steps_taken
-        if on_sample is not None and s > burn_in and (s - burn_in) % thin == 0:
-            on_sample(state)
-
-    if m == 0 or a == 0:
-        for _ in range(nsteps):
-            state.steps_taken += 1
-            maybe_record()
-        return
-
-    done = 0
-    while done < nsteps:
-        block = min(_BLOCK, nsteps - done)
-        ii = state.rng.integers(0, m, size=block).tolist()
-        jj = state.rng.integers(0, a, size=block).tolist()
-        if on_sample is None:
-            for t in range(block):
-                _attempt_swap(state, ii[t], jj[t])
-            state.steps_taken += block
-        else:
-            for t in range(block):
-                _attempt_swap(state, ii[t], jj[t])
-                state.steps_taken += 1
-                maybe_record()
-        done += block
+    """Advance the chain nsteps moves.  on_sample fires at every step s with
+    s > burn_in and (s - burn_in) % thin == 0, counting steps from the
+    chain's creation, with steps_taken and accepted_moves current.  The
+    swap loop runs straight from one such step to the next inside each
+    block of drawn proposals.  When either pool is empty the state space
+    is a single graph and every move is a counted self-loop."""
+    burn_in = state.cfg.burn_in
+    thin = state.cfg.thin
+    k = state.cfg.r - 1
+    adj = state.adj
+    present = state.present
+    absent = state.absent
+    pairs = state.pairs
+    accepted = state.accepted_moves
+    s = state.steps_taken
+    end = s + nsteps
+    # the next retained step after s; past the end when nothing is recorded
+    if on_sample is None:
+        nxt = end + 1
+    else:
+        nxt = burn_in + thin * (max(s - burn_in, 0) // thin + 1)
+    while s < end:
+        start = s
+        stop_block = min(s + _BLOCK, end)
+        # this draw layout fixes every artifact: one call per pool per block;
+        # with an empty pool no draw is made and every move is a self-loop
+        ii = []
+        jj = []
+        if present and absent:
+            ii = state.rng.integers(0, len(present), size=stop_block - start).tolist()
+            jj = state.rng.integers(0, len(absent), size=stop_block - start).tolist()
+        while s < stop_block:
+            stop = min(nxt, stop_block)
+            for i, j in zip(ii[s - start : stop - start], jj[s - start : stop - start]):
+                e = present[i]
+                f = absent[j]
+                ue, ve = pairs[e]
+                uf, vf = pairs[f]
+                adj[ue] ^= 1 << ve
+                adj[ve] ^= 1 << ue
+                # a new clique on r+1 vertices through (uf,vf) needs K_{r-1}
+                # among their common neighbors
+                if _clique_in_mask(adj, adj[uf] & adj[vf], k):
+                    adj[ue] |= 1 << ve
+                    adj[ve] |= 1 << ue
+                else:
+                    adj[uf] |= 1 << vf
+                    adj[vf] |= 1 << uf
+                    present[i] = f
+                    absent[j] = e
+                    accepted += 1
+            s = stop
+            state.steps_taken = s
+            state.accepted_moves = accepted
+            if s == nxt:
+                on_sample(state)
+                nxt += thin
 
 
 class EstimateResult(NamedTuple):

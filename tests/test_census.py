@@ -181,14 +181,14 @@ def test_unique_share_grows_toward_extremal():
 
 
 def test_summary_counts_against_oracle():
-    # joint law of (2-colorable, triangle count) among K_4-free graphs
-    n, r, m = 5, 3, 6
-    got = summary_counts(n, r, m)
+    # joint law of (2-colorable, triangle count) among K_4-free graphs,
+    # at every edge count m
+    n, r = 5, 3
     parts = list(enumerate_partitions(n, r))
-    expected = {}
+    expected = {m: {} for m in range(11)}
     for mask in range(1 << 10):
         g = LabeledGraph(n, mask)
-        if g.edge_count != m or contains_clique(g, r + 1):
+        if contains_clique(g, r + 1):
             continue
         key = (
             any(miscolored_edges(g, p) == 0 for p in parts),
@@ -200,8 +200,10 @@ def test_summary_counts_against_oracle():
                 if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
             ),
         )
-        expected[key] = expected.get(key, 0) + 1
-    assert got == expected
+        law = expected[g.edge_count]
+        law[key] = law.get(key, 0) + 1
+    for m, law in expected.items():
+        assert summary_counts(n, r, m) == law
 
 
 def test_summary_counts_guard():

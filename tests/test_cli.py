@@ -1,6 +1,7 @@
 """End-to-end checks of the ``kfree`` command line: exit codes, output
 formats, the reproducibility stanza, and cache behaviour."""
 
+import hashlib
 import json
 import math
 import os
@@ -203,6 +204,42 @@ def test_sample_dump_format(tmp_path, capsys):
         assert int(step) > 200 and is_rcol in ("0", "1")
         assert int(tri) == 0 and len(digest) == 16
     assert "estimate" in out and "acceptance_rate" in out
+
+
+# Artifact digests pinned at the commit before the sampler's inner loops were
+# rewritten: the swap kernel and the classifier must keep every random draw,
+# accept decision and classification, so these bytes may never change.
+_GOLDEN_SAMPLE = {
+    ("12", "2", "20"): (
+        "e0736501b9d5bc64f4d00a8e8864da8cbe33129837e7425783c031e42f53ad57",
+        "f4369a25323a04af61ff4c7808791944946bc23e646a78642e9f60d2439bc799",
+    ),
+    ("10", "3", "25"): (
+        "970a25b7af3e8c0ae815f8d7bd72b98c58fd5b278587eeb1bf3b1e69df5820f2",
+        "99a86cd72ac36fc15cd61accb4214844bcbad8ce3b8e736a338d4ba684c919b7",
+    ),
+}
+_GOLDEN_SWEEP = "d9092270fc9c5a7a837c9a43dcee60f70e43ec4cd8a14352f8d09e2c3ac7fed6"
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("n,r,m", sorted(_GOLDEN_SAMPLE))
+def test_sample_artifacts_are_pinned(tmp_path, capsys, n, r, m):
+    dump = tmp_path / "dump.csv"
+    rc, out, _ = run(capsys, "sample", "--n", n, "--r", r, "--m", m, "--seed", "7",
+                     "--steps", "20000", "--dump", str(dump))
+    assert rc == 0
+    assert (_sha256(out.encode()), _sha256(dump.read_bytes())) == _GOLDEN_SAMPLE[n, r, m]
+
+
+def test_sweep_sampler_artifact_is_pinned(capsys):
+    rc, out, _ = run(capsys, "sweep", "--n", "12", "--r", "2", "--engine", "sampler",
+                     "--m", "auto", "--steps", "20000", "--seed", "7", "--format", "csv")
+    assert rc == 0
+    assert _sha256(out.encode()) == _GOLDEN_SWEEP
 
 
 def test_sample_infeasible_m(capsys):

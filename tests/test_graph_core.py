@@ -1,6 +1,7 @@
 """Graph primitives: parsing, cliques, colorability, partitions, and the
 balance band.  Small-n behavior is pinned by exhaustive enumeration."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -25,6 +26,7 @@ from kfreelab import (
     miscolored_edges,
     parse_graph,
 )
+from kfreelab.graph_core import _colorable
 
 PETERSEN = "10;1-2,2-3,3-4,4-5,5-1,1-6,2-7,3-8,4-9,5-10,6-8,8-10,10-7,7-9,9-6"
 
@@ -124,6 +126,59 @@ def test_witness_is_lex_least_exhaustive_n4():
                 assert not proper
             else:
                 assert w.class_of == min(proper)
+
+
+def bfs_bipartition_reference(adj, n):
+    """Per-edge BFS 2-coloring, the reference for the bitset kernel: each
+    component's lowest vertex gets color 0, so the vector is lex-least."""
+    color = [-1] * n
+    for s in range(n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = [s]
+        while queue:
+            u = queue.pop()
+            for v in range(n):
+                if adj[u] >> v & 1:
+                    if color[v] == -1:
+                        color[v] = 1 - color[u]
+                        queue.append(v)
+                    elif color[v] == color[u]:
+                        return None
+    return color
+
+
+@st.composite
+def two_coloring_cases(draw):
+    """Labeled graphs on up to 32 vertices: sparse random graphs (often
+    disconnected, with isolated vertices), odd cycles of length 3..31 and
+    complete bipartite graphs, each with a few random extra edges."""
+    n = draw(st.sampled_from(range(1, 33)))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sparse", "odd_cycle", "complete_bipartite"]))
+    edges = set()
+    if kind == "odd_cycle" and n >= 3:
+        length = draw(st.sampled_from(range(3, n + 1, 2)))
+        cyc = rnd.sample(range(n), length)
+        edges |= {(cyc[i], cyc[(i + 1) % length]) for i in range(length)}
+    elif kind == "complete_bipartite":
+        side = [rnd.randrange(3) for _ in range(n)]  # class 2: isolated
+        edges |= {(u, v) for u, v in combinations(range(n), 2)
+                  if {side[u], side[v]} == {0, 1}}
+    extra = [0.03, 0.06, 0.12] if kind == "sparse" else [0.0, 0.01]
+    density = draw(st.sampled_from(extra))
+    edges |= {(u, v) for u, v in combinations(range(n), 2) if rnd.random() < density}
+    return LabeledGraph.from_edge_list(n, sorted({tuple(sorted(e)) for e in edges}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_coloring_cases())
+def test_bipartition_matches_bfs_reference(g):
+    ref = bfs_bipartition_reference(g.adjacency(), g.n)
+    assert _colorable(g.adjacency(), g.n, 2) == (ref is not None)
+    w = is_r_colorable(g, 2)
+    assert (None if w is None else list(w.class_of)) == ref
 
 
 def test_colorable_iff_min_miscolored_zero_exhaustive_n5():

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from kfreelab import sampler
 from kfreelab import (
     ChainConfig,
     DomainError,
@@ -60,6 +61,38 @@ def test_no_absent_pair_self_loop():
     st = init_chain(ChainConfig(n=3, r=3, m=3))
     run_steps(st, 1)
     assert st.steps_taken == 1 and st.accepted_moves == 0
+
+
+@pytest.mark.parametrize("burn_in", [0, 7])
+@pytest.mark.parametrize("thin", [1, 3, 10])
+@pytest.mark.parametrize("n,r,m", [(8, 2, 10), (5, 2, 0), (3, 3, 3)])
+def test_recording_schedule(n, r, m, burn_in, thin):
+    # (5,2,0) and (3,3,3) are the two single-state self-loop cases
+    cfg = ChainConfig(n=n, r=r, m=m, seed=4, burn_in=burn_in, thin=thin)
+    nsteps = sampler._BLOCK + 37  # crosses a proposal block boundary
+    st, twin = init_chain(cfg), init_chain(cfg)
+    for chain in (st, twin):
+        run_steps(chain, 11)  # resume from a step not aligned to thin
+    s0 = st.steps_taken
+    seen = []
+
+    def record(x):
+        assert x.current_graph().adjacency() == tuple(x.adj)
+        seen.append((x.steps_taken, x.accepted_moves, tuple(x.present)))
+
+    run_steps(st, nsteps, on_sample=record)
+    run_steps(twin, nsteps)
+    assert [s for s, _, _ in seen] == [
+        s for s in range(s0 + 1, s0 + nsteps + 1)
+        if s > burn_in and (s - burn_in) % thin == 0
+    ]
+    # recording never changes the chain
+    assert (st.present, st.accepted_moves, st.steps_taken) == (
+        twin.present, twin.accepted_moves, twin.steps_taken)
+    if thin == 1:  # a sample at every step: accepted_moves is current at each
+        for (_, a0, p0), (_, a1, p1) in zip(seen, seen[1:]):
+            assert a1 - a0 == (p0 != p1)
+        assert seen[-1][1] == st.accepted_moves
 
 
 def test_invariants_hold_along_the_run():
