@@ -9,15 +9,20 @@ partition pair-sum  sum_{Pi} C(e(Pi), m)  over all partitions of [n] into
 at most r classes.
 
 Engine: rather than classifying the 2^C(n,2) edge masks one by one, two
-bitwise lattice transforms over the mask space compute for *every* mask
-simultaneously (a) the number of (r+1)-clique edge sets it contains
-(subset-sum transform over the clique indicator) and (b) the number of
-set-partitions whose complete multipartite graph contains it
-(superset-sum transform over the partition-mask indicator).  A mask is
-free iff (a) is zero and r-colorable iff (b) is positive.  The mask space
-is sharded on high-order mask bits; each shard runs the transforms over
-its low bits only and the per-m tallies merge by plain integer addition,
-so results are byte-identical for any shard count and any worker count.
+bitwise lattice transforms over the mask space decide for *every* mask
+simultaneously (a) whether it contains an (r+1)-clique edge set (an OR
+subset-zeta over the clique indicator) and (b) whether 0, 1 or at least 2
+set-partitions have a complete multipartite graph containing it (a
+superset-zeta over the partition-mask indicator, with counts saturating
+at 2).  A mask is free iff (a) is false and r-colorable iff (b) is
+positive; the census needs no count beyond that.  Each answer is a plane
+of packed bits, one uint64 word per 64 masks, and (b) is the pair of
+planes ">= 1" and ">= 2".  Passes over the low 6 mask bits shift and mask
+within words; passes over higher bits combine whole words.  The mask
+space is sharded on high-order mask bits; each shard runs the transforms
+over its low bits only and the per-m tallies (popcounts of the planes)
+merge by plain integer addition, so results are byte-identical for any
+shard count and any worker count.
 """
 
 from __future__ import annotations
@@ -70,35 +75,37 @@ class CensusTable:
 
 
 # ---------------------------------------------------------------------------
-# transform engine
+# packed bit-plane engine
 # ---------------------------------------------------------------------------
 
-
-def _subset_zeta_inplace(a: np.ndarray) -> None:
-    # a[x] <- sum over y subseteq x of a[y]
-    size = a.size
-    step = 1
-    while step < size:
-        v = a.reshape(-1, 2 * step)
-        v[:, step:] += v[:, :step]
-        step <<= 1
-
-
-def _superset_zeta_inplace(a: np.ndarray) -> None:
-    # a[x] <- sum over y supseteq x of a[y]
-    size = a.size
-    step = 1
-    while step < size:
-        v = a.reshape(-1, 2 * step)
-        v[:, :step] += v[:, step:]
-        step <<= 1
+# A plane holds one bit per mask of a shard: the mask whose low bits are x
+# sits at bit x & 63 of word x >> 6.  With fewer than 6 low bits only the
+# first 2^low_bits lanes of the single word are masks.  _HIGH[i] marks the
+# in-word lanes whose bit i is set, _POPK[k] the lanes of popcount k.
+_HIGH = tuple(
+    np.uint64(sum(1 << p for p in range(64) if p >> i & 1)) for i in range(6)
+)
+_POPK = np.array(
+    [sum(1 << p for p in range(64) if p.bit_count() == k) for k in range(7)],
+    dtype=np.uint64,
+)
 
 
-def _popcount_array(bits: int) -> np.ndarray:
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(bits):
-        pc = np.concatenate([pc, pc + 1])
-    return pc
+def _words(low_bits: int) -> int:
+    return max(1, (1 << low_bits) >> 6)
+
+
+def _plane(low_bits: int, lanes) -> np.ndarray:
+    """A plane with exactly the given lanes set."""
+    a = np.zeros(_words(low_bits), dtype=np.uint64)
+    lanes = np.asarray(lanes, dtype=np.int64)
+    np.bitwise_or.at(a, lanes >> 6, np.uint64(1) << (lanes & 63).astype(np.uint64))
+    return a
+
+
+def _bits(plane: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """The bit of each lane, as 0 or 1."""
+    return plane[lanes >> 6] >> (lanes & 63).astype(np.uint64) & np.uint64(1)
 
 
 def _clique_edge_masks(n: int, k: int) -> List[int]:
@@ -119,30 +126,74 @@ def _partition_cross_masks(n: int, r: int) -> List[int]:
     return [p.cross_edge_mask() for p in enumerate_partitions(n, r)]
 
 
-def _clique_layer(n: int, k: int, low_bits: int, shard_value: int) -> np.ndarray:
-    """For every mask of the shard (indexed by its low bits), the number of
-    k-clique edge sets it contains."""
-    size = 1 << low_bits
-    low_mask = size - 1
-    a = np.zeros(size, dtype=np.uint8)
-    for cm in _clique_edge_masks(n, k):
-        if cm >> low_bits & ~shard_value == 0:  # high part within the shard
-            a[cm & low_mask] += 1
-    _subset_zeta_inplace(a)
+# The passes below write their intermediates into ``tmp``, two scratch
+# planes of shape (2, words): a fresh temporary per operation would cost
+# more than the operation itself.
+
+
+def _clique_plane(
+    n: int, k: int, low_bits: int, shard_value: int, tmp: np.ndarray
+) -> np.ndarray:
+    """Bit x is set iff the shard's mask with low bits x contains a k-clique:
+    an OR subset-zeta over the clique indicator."""
+    low_mask = (1 << low_bits) - 1
+    a = _plane(
+        low_bits,
+        [cm & low_mask for cm in _clique_edge_masks(n, k)
+         if cm >> low_bits & ~shard_value == 0],  # high part within the shard
+    )
+    for i in range(low_bits):
+        if i < 6:
+            np.left_shift(a, np.uint64(1 << i), out=tmp[0])
+            tmp[0] &= _HIGH[i]
+            a |= tmp[0]
+        else:
+            step = 1 << (i - 6)
+            v = a.reshape(-1, 2 * step)
+            v[:, step:] |= v[:, :step]
     return a
 
 
-def _partition_layer(n: int, r: int, low_bits: int, shard_value: int) -> np.ndarray:
-    """For every mask of the shard (indexed by its low bits), the number of
-    partitions into at most r classes whose cross pairs cover it."""
-    size = 1 << low_bits
-    low_mask = size - 1
-    a = np.zeros(size, dtype=np.uint16)
-    for pm in _partition_cross_masks(n, r):
-        if pm >> low_bits & shard_value == shard_value:  # high part covers shard
-            a[pm & low_mask] += 1
-    _superset_zeta_inplace(a)
-    return a
+def _partition_planes(
+    n: int, r: int, low_bits: int, shard_value: int, tmp: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Planes (g1, g2): bit x of g1 (g2) is set iff at least one (two)
+    partitions into at most r classes have cross pairs covering the
+    shard's mask with low bits x.  A superset-zeta of the partition-mask
+    counts, saturated at 2: adding the count pair (hi1, hi2) into
+    (lo1, lo2) is  lo2 |= hi2 | lo1 & hi1;  lo1 |= hi1."""
+    low_mask = (1 << low_bits) - 1
+    lanes, mult = np.unique(
+        np.array(
+            [pm & low_mask for pm in _partition_cross_masks(n, r)
+             if pm >> low_bits & shard_value == shard_value],  # covers shard
+            dtype=np.int64,
+        ),
+        return_counts=True,
+    )
+    g1 = _plane(low_bits, lanes)
+    g2 = _plane(low_bits, lanes[mult > 1])
+    hi, both = tmp
+    for i in range(low_bits):
+        if i < 6:
+            s, low_lanes = np.uint64(1 << i), ~_HIGH[i]
+            np.right_shift(g1, s, out=hi)
+            hi &= low_lanes
+            np.bitwise_and(g1, hi, out=both)
+            g1 |= hi
+            np.right_shift(g2, s, out=hi)
+            hi &= low_lanes
+            g2 |= hi
+            g2 |= both
+        else:
+            step = 1 << (i - 6)
+            v1, v2 = g1.reshape(-1, 2 * step), g2.reshape(-1, 2 * step)
+            t = both[: g1.size // 2].reshape(-1, step)
+            np.bitwise_and(v1[:, :step], v1[:, step:], out=t)
+            t |= v2[:, step:]
+            v2[:, :step] |= t
+            v1[:, :step] |= v1[:, step:]
+    return g1, g2
 
 
 def _census_shard(args: Tuple[int, int, int, int]) -> Tuple[np.ndarray, ...]:
@@ -150,17 +201,33 @@ def _census_shard(args: Tuple[int, int, int, int]) -> Tuple[np.ndarray, ...]:
     n, r, low_bits, shard_value = args
     nslots = n * (n - 1) // 2
     shard_pop = int(shard_value).bit_count()
-    nclq = _clique_layer(n, r + 1, low_bits, shard_value)
-    ncol = _partition_layer(n, r, low_bits, shard_value)
-    pop = _popcount_array(low_bits)
+    words = _words(low_bits)
+    tmp = np.empty((2, words), dtype=np.uint64)
+    clq = _clique_plane(n, r + 1, low_bits, shard_value, tmp)
+    g1, g2 = _partition_planes(n, r, low_bits, shard_value, tmp)
 
-    def tally(sel: np.ndarray) -> np.ndarray:
-        bc = np.bincount(pop[sel], minlength=low_bits + 1)
+    # A lane's popcount is its word index's popcount plus its popcount
+    # within the word.  Words sorted by the first make each class of the
+    # first one segment; _POPK, cut to the valid lanes, splits the second.
+    word_pop = np.bitwise_count(np.arange(words, dtype=np.uint64))
+    order = np.argsort(word_pop, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(word_pop))[:-1]))
+    popk = _POPK & np.uint64((1 << (1 << min(low_bits, 6))) - 1)
+    counts = np.empty(words, dtype=np.uint8)
+
+    def tally(plane: np.ndarray) -> np.ndarray:
+        np.take(plane, order, out=tmp[0])
         out = np.zeros(nslots + 1, dtype=np.int64)
-        out[shard_pop : shard_pop + bc.size] = bc
+        for k in range(min(low_bits, 6) + 1):
+            np.bitwise_and(tmp[0], popk[k], out=tmp[1])
+            np.bitwise_count(tmp[1], out=counts)
+            bc = np.add.reduceat(counts, starts, dtype=np.int64)
+            out[shard_pop + k : shard_pop + k + bc.size] += bc
         return out
 
-    return tally(nclq == 0), tally(ncol > 0), tally(ncol == 1)
+    np.invert(clq, out=clq)  # K_{r+1}-free
+    g2 ^= g1  # g2 lies within g1: now exactly one covering partition
+    return tally(clq), tally(g1), tally(g2)
 
 
 def shard_count(n: int, shards: Optional[int] = None) -> int:
@@ -343,15 +410,15 @@ def summary_counts(n: int, r: int, m: int) -> Dict[Tuple[bool, int], int]:
     nslots = n * (n - 1) // 2
     if not 0 <= m <= nslots:
         raise DomainError(f"m={m}: edge count outside 0..{nslots}")
-    nclq = _clique_layer(n, r + 1, nslots, 0)
-    ntri = _clique_layer(n, 3, nslots, 0)
-    ncol = _partition_layer(n, r, nslots, 0)
-    pop = _popcount_array(nslots)
-    sel = (nclq == 0) & (pop == m)
-    rcol = (ncol[sel] > 0).astype(np.int64)
-    tri = ntri[sel].astype(np.int64)
-    key = rcol * 1024 + tri
-    values, counts = np.unique(key, return_counts=True)
+    masks = np.arange(1 << nslots, dtype=np.int64)
+    masks = masks[np.bitwise_count(masks) == m]
+    tmp = np.empty((2, _words(nslots)), dtype=np.uint64)
+    masks = masks[_bits(_clique_plane(n, r + 1, nslots, 0, tmp), masks) == 0]
+    rcol = _bits(_partition_planes(n, r, nslots, 0, tmp)[0], masks).astype(np.int64)
+    tri = np.zeros(masks.size, dtype=np.int64)
+    for t in _clique_edge_masks(n, 3):
+        tri += (masks & t) == t
+    values, counts = np.unique(rcol * 1024 + tri, return_counts=True)
     return {
         (bool(k // 1024), int(k % 1024)): int(c) for k, c in zip(values, counts)
     }

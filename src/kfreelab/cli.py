@@ -116,7 +116,8 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 def _cached_census(args: argparse.Namespace) -> Tuple[census.CensusTable, int]:
     """Load from --cache-dir when a valid cache exists, else compute (and
     cache when a directory is configured).  A cached table for another
-    (n, r) than its file name states is a cache error."""
+    (n, r) than its file name states is a cache error.  A load is reported
+    on stderr, so the artifact stays that of the computed run."""
     n, r = args.n, args.r
     shards = census.shard_count(n, args.shards)
     cache_dir = args.cache_dir or os.environ.get("KFREE_CACHE_DIR")
@@ -128,6 +129,7 @@ def _cached_census(args: argparse.Namespace) -> Tuple[census.CensusTable, int]:
                 f"{path}: holds the census for n={table.n}, r={table.r}, "
                 f"but n={n}, r={r} was requested"
             )
+        print(f"kfree: census n={n} r={r} loaded from {path}", file=sys.stderr)
         return table, shards
     table = census.run_census(n, r, shards=args.shards, jobs=args.jobs)
     if path:

@@ -47,7 +47,12 @@ def oracle_rows(n, r):
     return rows
 
 
-@pytest.mark.parametrize("n,r", [(4, 2), (4, 3), (5, 2), (5, 3)])
+@pytest.mark.parametrize(
+    "n,r",
+    # n <= 3 leaves fewer than 64 masks: a partial plane word
+    [(n, r) for n in (1, 2, 3) for r in (1, 2, 3, 4)]
+    + [(4, 2), (4, 3), (5, 2), (5, 3)],
+)
 def test_census_matches_per_graph_oracle(n, r):
     table = run_census(n, r)
     expected = oracle_rows(n, r)
@@ -102,6 +107,12 @@ def test_shard_and_job_independence():
     assert run_census(6, 2, shards=4).rows == base.rows
     assert run_census(6, 2, shards=16).rows == base.rows
     assert run_census(6, 2, shards=16, jobs=4).rows == base.rows
+    assert run_census(6, 2, shards=4, jobs=2).rows == base.rows
+    # n=4 has 6 edge slots: 64 shards leave one mask (no low bits) each
+    for r in (2, 3):
+        base = run_census(4, r)
+        for shard_bits in range(7):
+            assert run_census(4, r, shards=1 << shard_bits).rows == base.rows
 
 
 def test_shard_validation():
@@ -180,13 +191,13 @@ def test_unique_share_grows_toward_extremal():
     assert share_ex > share_mid
 
 
-def test_summary_counts_against_oracle():
-    # joint law of (2-colorable, triangle count) among K_4-free graphs,
-    # at every edge count m
-    n, r = 5, 3
+def summary_oracle(n, r):
+    """Joint law of (r-colorable, triangle count) among K_{r+1}-free graphs,
+    per edge count m, by classifying every graph."""
+    nbits = n * (n - 1) // 2
     parts = list(enumerate_partitions(n, r))
-    expected = {m: {} for m in range(11)}
-    for mask in range(1 << 10):
+    expected = {m: {} for m in range(nbits + 1)}
+    for mask in range(1 << nbits):
         g = LabeledGraph(n, mask)
         if contains_clique(g, r + 1):
             continue
@@ -202,8 +213,15 @@ def test_summary_counts_against_oracle():
         )
         law = expected[g.edge_count]
         law[key] = law.get(key, 0) + 1
-    for m, law in expected.items():
-        assert summary_counts(n, r, m) == law
+    return expected
+
+
+def test_summary_counts_against_oracle():
+    # n = 2, 3 leave fewer than 64 masks: a partial plane word
+    for n in (2, 3, 4, 5):
+        for r in (2, 3):
+            for m, law in summary_oracle(n, r).items():
+                assert summary_counts(n, r, m) == law, (n, r, m)
 
 
 def test_summary_counts_guard():

@@ -85,11 +85,14 @@ def test_census_matches_library(capsys):
 
 def test_census_cache_roundtrip(tmp_path, capsys):
     args = ("census", "--n", "5", "--r", "2", "--cache-dir", str(tmp_path))
-    rc1, out1, _ = run(capsys, *args)
+    rc1, out1, err1 = run(capsys, *args)
     cache = tmp_path / "census_n5_r2.txt"
-    assert rc1 == 0 and cache.exists()
-    rc2, out2, _ = run(capsys, *args)
+    assert rc1 == 0 and cache.exists() and err1 == ""
+    rc2, out2, err2 = run(capsys, *args)
     assert rc2 == 0 and out2 == out1
+    assert err2 == f"kfree: census n=5 r=2 loaded from {cache}\n"
+    rc3, _, err3 = run(capsys, "sweep", "--n", "5", "--r", "2", "--cache-dir", str(tmp_path))
+    assert rc3 == 0 and err3 == err2
 
 
 def test_census_corrupt_cache_is_io_error(tmp_path, capsys):
@@ -222,8 +225,23 @@ _GOLDEN_SAMPLE = {
 _GOLDEN_SWEEP = "d9092270fc9c5a7a837c9a43dcee60f70e43ec4cd8a14352f8d09e2c3ac7fed6"
 
 
+# `kfree census --n 8 --format csv` digests: r=2 as recorded from kfreelab
+# 0.1.0, r=3 from the integer-count census engine the packed planes replaced.
+_GOLDEN_CENSUS_N8 = {
+    "2": "271bad1ccf9607ece6cc2b5f23ca0bb8a2756322a5fa9421c95fba518436925b",
+    "3": "4e35d95c2b59e681f8b3b3d2951e186ae1efc44eab187010d406197c327aa339",
+}
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("r", sorted(_GOLDEN_CENSUS_N8))
+def test_census_n8_artifacts_are_pinned(capsys, r):
+    rc, out, _ = run(capsys, "census", "--n", "8", "--r", r, "--format", "csv")
+    assert rc == 0
+    assert _sha256(out.encode()) == _GOLDEN_CENSUS_N8[r]
 
 
 @pytest.mark.parametrize("n,r,m", sorted(_GOLDEN_SAMPLE))
