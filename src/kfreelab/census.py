@@ -155,17 +155,17 @@ def _clique_plane(
 
 
 def _partition_planes(
-    n: int, r: int, low_bits: int, shard_value: int, tmp: np.ndarray
+    part_masks: List[int], low_bits: int, shard_value: int, tmp: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Planes (g1, g2): bit x of g1 (g2) is set iff at least one (two)
-    partitions into at most r classes have cross pairs covering the
-    shard's mask with low bits x.  A superset-zeta of the partition-mask
-    counts, saturated at 2: adding the count pair (hi1, hi2) into
-    (lo1, lo2) is  lo2 |= hi2 | lo1 & hi1;  lo1 |= hi1."""
+    """Planes (g1, g2): bit x of g1 (g2) is set iff at least one (two) of
+    part_masks, the partitions' cross pairs, cover the shard's mask with low
+    bits x.  A superset-zeta of the partition-mask counts, saturated at 2:
+    adding the count pair (hi1, hi2) into (lo1, lo2) is
+    lo2 |= hi2 | lo1 & hi1;  lo1 |= hi1."""
     low_mask = (1 << low_bits) - 1
     lanes, mult = np.unique(
         np.array(
-            [pm & low_mask for pm in _partition_cross_masks(n, r)
+            [pm & low_mask for pm in part_masks
              if pm >> low_bits & shard_value == shard_value],  # covers shard
             dtype=np.int64,
         ),
@@ -196,15 +196,16 @@ def _partition_planes(
     return g1, g2
 
 
-def _census_shard(args: Tuple[int, int, int, int]) -> Tuple[np.ndarray, ...]:
-    """Tally one shard: all masks whose top bits equal the shard value."""
-    n, r, low_bits, shard_value = args
+def _census_shard(args: Tuple) -> Tuple[np.ndarray, ...]:
+    """Tally one shard: all masks whose top bits equal the shard value.
+    args is (n, r, low_bits, shard_value, cross masks of the partitions)."""
+    n, r, low_bits, shard_value, part_masks = args
     nslots = n * (n - 1) // 2
     shard_pop = int(shard_value).bit_count()
     words = _words(low_bits)
     tmp = np.empty((2, words), dtype=np.uint64)
     clq = _clique_plane(n, r + 1, low_bits, shard_value, tmp)
-    g1, g2 = _partition_planes(n, r, low_bits, shard_value, tmp)
+    g1, g2 = _partition_planes(part_masks, low_bits, shard_value, tmp)
 
     # A lane's popcount is its word index's popcount plus its popcount
     # within the word.  Words sorted by the first make each class of the
@@ -266,7 +267,8 @@ def run_census(
         raise DomainError(f"jobs={jobs}: need at least one worker")
     low_bits = nslots - shard_bits
 
-    work = [(n, r, low_bits, h) for h in range(shards)]
+    part_masks = _partition_cross_masks(n, r)
+    work = [(n, r, low_bits, h, part_masks) for h in range(shards)]
     if jobs > 1 and shards > 1:
         with Pool(min(jobs, shards)) as pool:
             parts = pool.map(_census_shard, work)
@@ -283,7 +285,7 @@ def run_census(
 
     # pair-sum column: aggregate partitions by their cross-pair count first,
     # then one binomial per distinct value per row
-    cross_counts = Counter(p.cross_pair_count() for p in enumerate_partitions(n, r))
+    cross_counts = Counter(pm.bit_count() for pm in part_masks)
     rows = tuple(
         CensusRow(
             m=m,
@@ -414,7 +416,8 @@ def summary_counts(n: int, r: int, m: int) -> Dict[Tuple[bool, int], int]:
     masks = masks[np.bitwise_count(masks) == m]
     tmp = np.empty((2, _words(nslots)), dtype=np.uint64)
     masks = masks[_bits(_clique_plane(n, r + 1, nslots, 0, tmp), masks) == 0]
-    rcol = _bits(_partition_planes(n, r, nslots, 0, tmp)[0], masks).astype(np.int64)
+    g1 = _partition_planes(_partition_cross_masks(n, r), nslots, 0, tmp)[0]
+    rcol = _bits(g1, masks).astype(np.int64)
     tri = np.zeros(masks.size, dtype=np.int64)
     for t in _clique_edge_masks(n, 3):
         tri += (masks & t) == t

@@ -20,7 +20,16 @@ through SeedSequence so that multi-chain runs are reproducible and
 streams never collide.  run_steps draws the proposal indices for _BLOCK
 moves in one rng call per pool and runs the swap loop, with the state
 bound to locals, straight to the next retained sample, so the per-move
-work has no callback and no test of the recording schedule.
+work has no callback and no test of the recording schedule.  With r=2
+the accept test needs no call: a triangle through the new pair exists iff
+its endpoints share a neighbour, so the common-neighbour mask is the test.
+
+estimate_rpartite and tv_diagnostic read one chain pass, _chain_pass: per
+chain, a histogram of (r-colorable?, triangles) at the retained steps.  It
+is memoised for one config, so "estimate, then tv on the same config" runs
+its chains once and any other config evicts it; a logged estimate runs it
+uncached.  Triangles are counted only where read (r >= 3, at n <= _TV_MAX_N
+or into a log): every r=2 state is triangle-free.
 
 The between-chain standard error reported by estimate_rpartite is the
 sample standard deviation of per-chain means divided by sqrt(chains);
@@ -31,8 +40,9 @@ honest even when the indicator of interest is nearly constant.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -56,6 +66,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14
+_TV_MAX_N = 7  # tv_diagnostic needs the exact census law
 
 
 @dataclass(frozen=True)
@@ -89,38 +100,19 @@ class ChainConfig:
             raise DomainError(f"chains={self.chains}: must be at least 1")
 
 
+@dataclass(eq=False, slots=True)
 class ChainState:
     """Mutable chain state: adjacency masks plus the present/absent slot
     pools, swapped in place so each move is O(1) bookkeeping."""
 
-    __slots__ = (
-        "cfg",
-        "pairs",
-        "adj",
-        "present",
-        "absent",
-        "rng",
-        "steps_taken",
-        "accepted_moves",
-    )
-
-    def __init__(
-        self,
-        cfg: ChainConfig,
-        pairs: Tuple[Tuple[int, int], ...],
-        adj: List[int],
-        present: List[int],
-        absent: List[int],
-        rng: np.random.Generator,
-    ) -> None:
-        self.cfg = cfg
-        self.pairs = pairs
-        self.adj = adj
-        self.present = present
-        self.absent = absent
-        self.rng = rng
-        self.steps_taken = 0
-        self.accepted_moves = 0
+    cfg: ChainConfig
+    pairs: Tuple[Tuple[int, int], ...]
+    adj: List[int]
+    present: List[int]
+    absent: List[int]
+    rng: np.random.Generator
+    steps_taken: int = field(default=0, init=False)
+    accepted_moves: int = field(default=0, init=False)
 
     def current_graph(self) -> LabeledGraph:
         mask = 0
@@ -183,6 +175,7 @@ def run_steps(
     burn_in = state.cfg.burn_in
     thin = state.cfg.thin
     k = state.cfg.r - 1
+    k1 = k <= 1
     adj = state.adj
     present = state.present
     absent = state.absent
@@ -215,8 +208,9 @@ def run_steps(
                 adj[ue] ^= 1 << ve
                 adj[ve] ^= 1 << ue
                 # a new clique on r+1 vertices through (uf,vf) needs K_{r-1}
-                # among their common neighbors
-                if _clique_in_mask(adj, adj[uf] & adj[vf], k):
+                # among their common neighbors; K_1 is any common neighbor
+                cand = adj[uf] & adj[vf]
+                if cand if k1 else _clique_in_mask(adj, cand, k):
                     adj[ue] |= 1 << ve
                     adj[ve] |= 1 << ue
                 else:
@@ -247,6 +241,31 @@ def retained_samples(cfg: ChainConfig, total_steps: int) -> int:
     return cfg.chains * ((per_chain - cfg.burn_in) // cfg.thin)
 
 
+@functools.lru_cache(maxsize=1)
+def _chain_pass(cfg: ChainConfig, per_chain: int, log: Optional[list] = None) -> tuple:
+    """Run each of cfg.chains chains per_chain moves.  Per chain: the count
+    of each (r-colorable?, triangles) key at the retained steps,
+    accepted_moves and steps_taken.  Callers must not mutate the result.
+    When log is given (uncached, through __wrapped__), one dict per retained
+    sample is appended, chains concatenated in order."""
+    count_triangles = cfg.r >= 3 and (log is not None or cfg.n <= _TV_MAX_N)
+    runs = []
+    for ci in range(cfg.chains):
+        state = init_chain(cfg, ci)
+        hist: Dict[Tuple[bool, int], int] = {}
+
+        def record(st: ChainState, _hist: Dict = hist) -> None:
+            key = (st.is_r_colorable(), st.triangle_count() if count_triangles else 0)
+            _hist[key] = _hist.get(key, 0) + 1
+            if log is not None:
+                log.append({"step": st.steps_taken, "is_rcol": int(key[0]),
+                            "triangles": key[1], "edges_hash": st.edges_digest()})
+
+        run_steps(state, per_chain, on_sample=record)
+        runs.append((hist, state.accepted_moves, state.steps_taken))
+    return tuple(runs)
+
+
 def estimate_rpartite(
     cfg: ChainConfig,
     total_steps: int,
@@ -269,35 +288,20 @@ def estimate_rpartite(
         raise DomainError(
             f"burn_in={cfg.burn_in}: each chain only runs {per_chain} moves"
         )
+    if log is None:
+        runs = _chain_pass(cfg, per_chain)
+    else:
+        runs = _chain_pass.__wrapped__(cfg, per_chain, log)
     chain_means = []
-    accepted = 0
-    stepped = 0
-    for ci in range(cfg.chains):
-        state = init_chain(cfg, ci)
-        hits = [0, 0]  # [total, colorable]
-
-        def record(st: ChainState, _hits: List[int] = hits) -> None:
-            ok = st.is_r_colorable()
-            _hits[0] += 1
-            _hits[1] += ok
-            if log is not None:
-                log.append(
-                    {
-                        "step": st.steps_taken,
-                        "is_rcol": int(ok),
-                        "triangles": st.triangle_count(),
-                        "edges_hash": st.edges_digest(),
-                    }
-                )
-
-        run_steps(state, per_chain, on_sample=record)
-        if hits[0] == 0:
+    for ci, (hist, _, _) in enumerate(runs):
+        retained = sum(hist.values())
+        if retained == 0:
             raise DomainError(
                 f"thin={cfg.thin}, burn_in={cfg.burn_in}: chain {ci} retained no samples"
             )
-        chain_means.append(hits[1] / hits[0])
-        accepted += state.accepted_moves
-        stepped += state.steps_taken
+        chain_means.append(sum(c for (ok, _), c in hist.items() if ok) / retained)
+    accepted = sum(a for _, a, _ in runs)
+    stepped = sum(t for _, _, t in runs)
     estimate = sum(chain_means) / len(chain_means)
     if len(chain_means) > 1:
         var = sum((x - estimate) ** 2 for x in chain_means) / (len(chain_means) - 1)
@@ -316,8 +320,8 @@ def tv_diagnostic(cfg: ChainConfig, total_steps: int) -> float:
     (r-colorable?, triangle count) and the exact census law at (n, r, m).
 
     Needs the exact joint distribution, hence n <= 7."""
-    if cfg.n > 7:
-        raise SizeError(f"n={cfg.n}: the diagnostic needs the exact law (n <= 7)")
+    if cfg.n > _TV_MAX_N:
+        raise SizeError(f"n={cfg.n}: the diagnostic needs the exact law (n <= {_TV_MAX_N})")
     exact_counts = census.summary_counts(cfg.n, cfg.r, cfg.m)
     total_exact = sum(exact_counts.values())
     if total_exact == 0:
@@ -325,17 +329,10 @@ def tv_diagnostic(cfg: ChainConfig, total_steps: int) -> float:
             f"m={cfg.m}: no clique-free graph with that edge count at n={cfg.n}"
         )
     empirical: Dict[Tuple[bool, int], int] = {}
-    samples = 0
-    for ci in range(cfg.chains):
-        state = init_chain(cfg, ci)
-
-        def record(st: ChainState) -> None:
-            nonlocal samples
-            key = (st.is_r_colorable(), st.triangle_count())
-            empirical[key] = empirical.get(key, 0) + 1
-            samples += 1
-
-        run_steps(state, total_steps // cfg.chains, on_sample=record)
+    for hist, _, _ in _chain_pass(cfg, total_steps // cfg.chains):
+        for key, count in hist.items():
+            empirical[key] = empirical.get(key, 0) + count
+    samples = sum(empirical.values())
     if samples == 0:
         raise DomainError(
             f"burn_in={cfg.burn_in}, thin={cfg.thin}: no samples retained"

@@ -7,12 +7,14 @@ from collections import Counter
 import pytest
 
 from kfreelab import sampler
+from kfreelab.census import summary_counts
 from kfreelab import (
     ChainConfig,
     DomainError,
     InfeasibleError,
     contains_clique,
     estimate_rpartite,
+    ex_turan,
     fraction_rpartite,
     init_chain,
     retained_samples,
@@ -157,7 +159,62 @@ def test_estimate_matches_census_midrange():
 
 def test_estimate_determinism():
     cfg = ChainConfig(n=7, r=2, m=8, seed=31, burn_in=100, thin=5, chains=3)
-    assert estimate_rpartite(cfg, 9000) == estimate_rpartite(cfg, 9000)
+    first = estimate_rpartite(cfg, 9000)
+    sampler._chain_pass.cache_clear()  # the second call must run its own chains
+    assert first == estimate_rpartite(cfg, 9000)
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (5, 3), (6, 2), (6, 3)])
+def test_shared_pass_matches_separate_runs(n, r):
+    for m in range(ex_turan(n, r + 1) + 1):
+        cfg = ChainConfig(n=n, r=r, m=m, seed=5 * m + n, burn_in=20, thin=3, chains=2)
+        sampler._chain_pass.cache_clear()
+        est_alone = estimate_rpartite(cfg, 4000)
+        sampler._chain_pass.cache_clear()
+        tv_alone = tv_diagnostic(cfg, 4000)
+        sampler._chain_pass.cache_clear()
+        assert estimate_rpartite(cfg, 4000) == est_alone, m
+        assert tv_diagnostic(cfg, 4000) == tv_alone, m
+
+
+def test_shared_pass_runs_each_chain_once(monkeypatch):
+    calls = []
+    original = sampler.run_steps
+
+    def counted(state, nsteps, **kwargs):
+        calls.append(nsteps)
+        original(state, nsteps, **kwargs)
+
+    monkeypatch.setattr(sampler, "run_steps", counted)
+    sampler._chain_pass.cache_clear()
+    cfg = ChainConfig(n=6, r=3, m=9, seed=8, burn_in=10, thin=4, chains=3)
+    estimate_rpartite(cfg, 3000)
+    tv_diagnostic(cfg, 3000)
+    assert calls == [1000] * 3
+    estimate_rpartite(cfg, 3000, log=[])  # a logged run steps its own chains
+    assert len(calls) == 6
+    other = ChainConfig(n=6, r=3, m=10, seed=8, burn_in=10, thin=4, chains=3)
+    tv_diagnostic(other, 3000)
+    assert len(calls) == 9
+    estimate_rpartite(cfg, 3000)  # evicted by the other config: runs again
+    assert len(calls) == 12
+
+
+def test_logged_estimate_equals_unlogged():
+    for r, m in ((2, 7), (3, 11)):
+        cfg = ChainConfig(n=6, r=r, m=m, seed=13, burn_in=30, thin=7, chains=3)
+        sampler._chain_pass.cache_clear()
+        log = []
+        assert estimate_rpartite(cfg, 6000, log=log) == estimate_rpartite(cfg, 6000)
+        assert len(log) == retained_samples(cfg, 6000)
+        # tv_diagnostic reads the cached pass; the log is an independent record
+        emp = Counter((bool(rec["is_rcol"]), rec["triangles"]) for rec in log)
+        exact = summary_counts(cfg.n, r, m)
+        total = sum(exact.values())
+        want = 0.5 * sum(
+            abs(emp[k] / len(log) - exact.get(k, 0) / total) for k in set(emp) | set(exact)
+        )
+        assert tv_diagnostic(cfg, 6000) == pytest.approx(want, abs=1e-12)
 
 
 def test_estimate_budget_errors():
