@@ -20,20 +20,16 @@ from .errors import (
     KfreeError,
     SizeError,
     UndefinedFractionError,
-    UnsupportedCaseError,
 )
 from .graph_core import (
     BalanceSpec,
     LabeledGraph,
     Partition,
     contains_clique,
-    count_cliques,
     enumerate_partitions,
     graph_literal,
     is_balanced,
     is_r_colorable,
-    local_min_partition,
-    min_miscolored_exact,
     miscolored_edges,
     parse_graph,
 )
@@ -43,7 +39,6 @@ from .bounds import (
     MuDelta,
     RegularizationParams,
     avoidance_probability_exact,
-    binom_ratio_bounds,
     construct_regularized_hypergraph,
     dsets_tail_bound,
     family_from_json,
@@ -52,7 +47,6 @@ from .bounds import (
     heuristic_threshold_probe,
     hypergeom_hoeffding,
     janson_upper,
-    kr_family,
     krminus_family,
     mu_delta_closed_form,
     mu_delta_exact,

@@ -18,10 +18,9 @@ hypergeometric FKG lower bound (valid for m <= floor(N/2)) is
 Both are sandwich-tested against an exact inclusion-exclusion oracle.
 
 The module also provides the forbidden families arising from a fixed
-r-partition (near-clique completions of a missing within-class edge, and
-clique families indexed by transversal tuples), closed-form mu/Delta
-bounds for those families, the d-sets tail bound with its tau recipe, a
-one-sided hypergeometric Hoeffding bound, binomial-ratio bounds, the
+r-partition (near-clique completions of a missing within-class edge),
+closed-form mu/Delta bounds for those families, the d-sets tail bound
+with its tau recipe, a one-sided hypergeometric Hoeffding bound, the
 stepwise hypergraph regularization procedure with usefulness flags, and
 the back-of-envelope criticality probe P*m for the colorability
 threshold.
@@ -43,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SizeError
 from .graph_core import LabeledGraph, Partition, pair_table
-from .turan import balanced_sizes
+from .turan import balanced_sizes, ex_turan
 
 __all__ = [
     "ForbiddenFamily",
@@ -55,12 +54,10 @@ __all__ = [
     "fkg_lower",
     "avoidance_probability_exact",
     "krminus_family",
-    "kr_family",
     "mu_delta_closed_form",
     "dsets_tail_bound",
     "hypergeom_hoeffding",
     "construct_regularized_hypergraph",
-    "binom_ratio_bounds",
     "heuristic_threshold_probe",
     "family_to_json",
     "family_from_json",
@@ -72,26 +69,33 @@ _IE_TERM_GUARD = 1 << 20
 _ENUM_GUARD = 10**7
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ForbiddenFamily:
     """A multiset of nonempty subsets of an N-slot ground set.
 
-    When the family arises from a partition, host carries the partition
-    and slot_edges maps each slot index to its vertex pair.
+    When the family arises from a partition, slot_edges maps each slot
+    index to its vertex pair.
     """
 
     ground_size: int
     sets: Tuple[Tuple[int, ...], ...]
-    host: Optional[Partition] = None
     slot_edges: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __post_init__(self) -> None:
+        if not _is_int(self.ground_size):
+            raise DomainError(f"ground_size={self.ground_size!r}: must be an integer")
         if self.ground_size < 0:
             raise DomainError(f"ground_size={self.ground_size}: cannot be negative")
         canon = []
         for b in self.sets:
             if len(b) == 0:
                 raise DomainError("empty forbidden set: the avoidance event would be void")
+            if not all(_is_int(i) for i in b):
+                raise DomainError(f"set {b}: slot indices must be integers")
             if any(not 0 <= i < self.ground_size for i in b):
                 raise DomainError(
                     f"set {b}: slot index outside 0..{self.ground_size - 1}"
@@ -314,29 +318,7 @@ def krminus_family(p: Partition, missing_edge: Tuple[int, int]) -> ForbiddenFami
             if {a, b} != {v, w}
         ]
         sets.append(tuple(sorted(slots)))
-    return ForbiddenFamily(
-        ground_size=len(slot_edges), sets=tuple(sets), host=p, slot_edges=slot_edges
-    )
-
-
-def kr_family(p: Partition, tuples: Sequence[Tuple[int, ...]]) -> ForbiddenFamily:
-    """One forbidden set of C(r,2) cross slots per transversal tuple
-    (one vertex per class, in class order).  Duplicates are preserved."""
-    slot_edges, index = _cross_slots(p)
-    sets = []
-    for t in tuples:
-        if len(t) != p.r:
-            raise DomainError(f"tuple {t}: expected one vertex per class ({p.r} entries)")
-        for j, x in enumerate(t):
-            if p.class_of[x] != j:
-                raise DomainError(
-                    f"tuple {t}: entry {x} is in class {p.class_of[x]}, expected class {j}"
-                )
-        slots = [_slot_of(index, a, b) for a, b in combinations(t, 2)]
-        sets.append(tuple(sorted(slots)))
-    return ForbiddenFamily(
-        ground_size=len(slot_edges), sets=tuple(sets), host=p, slot_edges=slot_edges
-    )
+    return ForbiddenFamily(ground_size=len(slot_edges), sets=tuple(sets), slot_edges=slot_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +331,6 @@ def mu_delta_closed_form(
     u_graph: LabeledGraph,
     p: Number,
     *,
-    max_degree: Optional[int] = None,
-    assembly: str = "typed",
     exact: bool = False,
 ) -> MuDelta:
     """Closed-form mu lower bound and Delta upper bound for the union of
@@ -371,11 +351,10 @@ def mu_delta_closed_form(
     asymptotic truncation — so the upper-bound direction survives at any
     finite size.
 
-    assembly="typed" multiplies each D_k by the exact number of ordered
-    missing-edge pairs of its type in u_graph, which is what makes a
-    single missing edge give Delta = 0 when r = 2; assembly="crude" uses
-    the coarser e(U)^2*max(D1,D4) + 2*D*e(U)*D2 + e(U)*D3 with D the max
-    degree of u_graph.  mu_lower = e(U) * (min class size)^(r-1) * p^(c-1).
+    Delta multiplies each D_k by the exact number of ordered missing-edge
+    pairs of its type in u_graph, which is what makes a single missing
+    edge give Delta = 0 when r = 2.
+    mu_lower = e(U) * (min class size)^(r-1) * p^(c-1).
 
     exact=True keeps everything rational; p must then be Fraction-convertible.
     """
@@ -386,8 +365,6 @@ def mu_delta_closed_form(
         raise DomainError(
             f"graph has n={u_graph.n} but partition covers n={p_partition.n}"
         )
-    if assembly not in ("typed", "crude"):
-        raise DomainError(f"assembly={assembly!r}: expected 'typed' or 'crude'")
     pv: Number = Fraction(p) if exact else float(p)
     if pv < 0 or pv > 1:
         raise DomainError(f"p={p}: slot density must lie in [0,1]")
@@ -446,22 +423,16 @@ def mu_delta_closed_form(
     )
 
     zero: Number = Fraction(0) if exact else 0.0
-    if assembly == "typed":
-        deg: Counter = Counter()
-        class_edges: Counter = Counter()
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-            class_edges[cls[u]] += 1
-        shared = sum(d * (d - 1) for d in deg.values())
-        same_cls = sum(e * (e - 1) for e in class_edges.values())
-        diff_cls = e_u * e_u - sum(e * e for e in class_edges.values())
-        delta = (same_cls - shared) * d1 + shared * d2 + e_u * d3 + diff_cls * d4
-    else:
-        d_max = max_degree if max_degree is not None else max(
-            (deg for deg in Counter(x for e in edges for x in e).values()), default=0
-        )
-        delta = e_u * e_u * max(d1, d4) + 2 * d_max * e_u * d2 + e_u * d3
+    deg: Counter = Counter()
+    class_edges: Counter = Counter()
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+        class_edges[cls[u]] += 1
+    shared = sum(d * (d - 1) for d in deg.values())
+    same_cls = sum(e * (e - 1) for e in class_edges.values())
+    diff_cls = e_u * e_u - sum(e * e for e in class_edges.values())
+    delta = (same_cls - shared) * d1 + shared * d2 + e_u * d3 + diff_cls * d4
 
     mu_lower = e_u * min(sizes) ** (r - 1) * pw(c - 1)
     return MuDelta(mu=mu_lower + zero, delta=delta + zero, p=pv)
@@ -515,13 +486,6 @@ def hypergeom_hoeffding(alpha: float, lam: float, d: int) -> float:
     if not 0 < lam < 1:
         raise DomainError(f"lam={lam}: must lie in (0,1)")
     return min(1.0, (2 * alpha**lam) ** d)
-
-
-def binom_ratio_bounds(a: int, b: int, c: int) -> Tuple[float, float]:
-    """((a/b)^c, ((a-c)/(b-c))^c) sandwiching C(a,c)/C(b,c) for a > b > c > 0."""
-    if not a > b > c > 0:
-        raise DomainError(f"(a,b,c)=({a},{b},{c}): the bounds need a > b > c > 0")
-    return ((a / b) ** c, ((a - c) / (b - c)) ** c)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +608,10 @@ def heuristic_threshold_probe(n: int, r: int, m: float) -> float:
         raise DomainError(f"r={r}: need at least two classes")
     if n < r:
         raise DomainError(f"n={n}: need at least r={r} vertices")
-    if m <= 0:
+    if not m > 0:  # also rejects nan
         raise DomainError(f"m={m}: the probe needs a positive edge count")
     sizes = balanced_sizes(n, r)  # descending: larger classes first
-    e_pi = sum(
-        sizes[i] * sizes[j] for i in range(r) for j in range(i + 1, r)
-    )
+    e_pi = ex_turan(n, r + 1)
     k_product = 1
     for s in sizes[1:]:
         k_product *= s
@@ -667,7 +629,7 @@ def heuristic_threshold_probe(n: int, r: int, m: float) -> float:
 
 
 def family_to_json(fam: ForbiddenFamily) -> str:
-    """Serialize ground_size and sets (host metadata is not persisted)."""
+    """Serialize ground_size and sets (slot_edges is not persisted)."""
     return json.dumps(
         {"ground_size": fam.ground_size, "sets": [list(b) for b in fam.sets]}
     )
@@ -680,7 +642,7 @@ def family_from_json(text: str) -> ForbiddenFamily:
         raise DomainError(f"family JSON: {exc}") from None
     if not isinstance(obj, dict) or "ground_size" not in obj or "sets" not in obj:
         raise DomainError("family JSON: need an object with ground_size and sets")
-    return ForbiddenFamily(
-        ground_size=obj["ground_size"],
-        sets=tuple(tuple(b) for b in obj["sets"]),
-    )
+    sets = obj["sets"]
+    if not isinstance(sets, list) or not all(isinstance(b, list) for b in sets):
+        raise DomainError("family JSON: sets must be a list of lists of slot indices")
+    return ForbiddenFamily(ground_size=obj["ground_size"], sets=tuple(tuple(b) for b in sets))

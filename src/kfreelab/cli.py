@@ -253,7 +253,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def _load_family(path: str) -> bounds.ForbiddenFamily:
     with open(path, "r", encoding="ascii") as fh:
-        return bounds.family_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"family={path}: not ASCII text (byte {exc.start})") from None
+    return bounds.family_from_json(text)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -280,7 +284,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     elif sub == "hoeffding":
         rows = [("hoeffding", _fnum(bounds.hypergeom_hoeffding(args.alpha, args.lam, args.d)))]
     elif sub == "dsets":
-        sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+        try:
+            sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+        except ValueError:
+            raise DomainError(f"sizes={args.sizes!r}: expected comma-separated integers") from None
         res = bounds.dsets_tail_bound(args.k, args.alpha, args.lam, sizes, args.d)
         rows = [("dsets_bound", _fnum(res.bound)), ("tau", _fnum(res.tau))]
     elif sub == "probe":

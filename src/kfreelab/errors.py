@@ -17,10 +17,6 @@ class DomainError(KfreeError, ValueError):
     """A parameter is outside the mathematical domain of the operation."""
 
 
-class UnsupportedCaseError(DomainError):
-    """The requested case is well-posed but outside what we implement."""
-
-
 class InfeasibleError(DomainError):
     """The requested configuration admits no valid object (e.g. m > ex)."""
 

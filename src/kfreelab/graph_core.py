@@ -17,7 +17,6 @@ function, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -34,18 +33,15 @@ __all__ = [
     "parse_graph",
     "graph_literal",
     "contains_clique",
-    "count_cliques",
     "is_r_colorable",
     "miscolored_edges",
-    "min_miscolored_exact",
-    "local_min_partition",
     "is_balanced",
     "enumerate_partitions",
 ]
 
 MAX_VERTICES = 32
 
-_ENUM_GUARD = 10**8  # cap on r**n for exhaustive coloring/partition scans
+_ENUM_GUARD = 10**8  # cap on r**n for exhaustive partition scans
 
 
 def pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -325,29 +321,6 @@ def contains_clique(g: LabeledGraph, k: int) -> bool:
     return _clique_in_mask(g.adjacency(), (1 << g.n) - 1, k)
 
 
-def count_cliques(g: LabeledGraph, k: int) -> int:
-    """Exact number of k-cliques of g (k <= 0 counts the empty clique once)."""
-    if k <= 0:
-        return 1
-    if k > g.n:
-        return 0
-    adj = g.adjacency()
-
-    def rec(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            if cand.bit_count() < need:
-                break
-            low = cand & -cand
-            cand ^= low
-            total += rec(cand & adj[low.bit_length() - 1], need - 1)
-        return total
-
-    return rec((1 << g.n) - 1, k)
-
-
 # ---------------------------------------------------------------------------
 # colorings
 # ---------------------------------------------------------------------------
@@ -510,76 +483,3 @@ def miscolored_edges(g: LabeledGraph, p: Partition) -> int:
             m ^= low
             total += (adj[low.bit_length() - 1] & mask).bit_count()
     return total // 2
-
-
-def min_miscolored_exact(g: LabeledGraph, r: int) -> Tuple[int, Partition]:
-    """Exhaustive minimum of miscolored_edges over all r-colorings of g.
-
-    Ties are broken by the lexicographically least color vector.  Guarded
-    by r^n <= 10^8; branch-and-bound in lexicographic order, so the first
-    incumbent at the optimal value is the canonical one.
-    """
-    if r < 1:
-        raise DomainError(f"r={r}: need at least one class")
-    n = g.n
-    if r**n > _ENUM_GUARD:
-        raise SizeError(f"r^n = {r}^{n} exceeds the exhaustive-scan guard {_ENUM_GUARD}")
-    adj = g.adjacency()
-    best_cost = g.edge_count + 1
-    best_vec: Optional[Tuple[int, ...]] = None
-    color = [0] * n
-
-    def rec(v: int, cost: int) -> None:
-        nonlocal best_cost, best_vec
-        if cost >= best_cost:
-            return
-        if v == n:
-            best_cost, best_vec = cost, tuple(color[:])
-            return
-        nb = adj[v]
-        same = [0] * r
-        m = nb & ((1 << v) - 1)  # colored earlier vertices only
-        while m:
-            low = m & -m
-            m ^= low
-            same[color[low.bit_length() - 1]] += 1
-        for c in range(r):
-            color[v] = c
-            rec(v + 1, cost + same[c])
-        color[v] = 0
-
-    rec(0, 0)
-    assert best_vec is not None
-    return best_cost, Partition(n, r, best_vec)
-
-
-def local_min_partition(g: LabeledGraph, p0: Partition) -> Partition:
-    """Greedy descent: move a vertex to a class where it has fewer neighbors.
-
-    First improvement in vertex order, lowest target class first, repeated
-    until every vertex has at least as many neighbors in each other class
-    as in its own.  Terminates because each move strictly decreases the
-    miscolored-edge count.  A proper coloring is returned unchanged.
-    """
-    if p0.n != g.n:
-        raise DomainError(f"partition is over n={p0.n} vertices, graph has n={g.n}")
-    n, r = g.n, p0.r
-    adj = g.adjacency()
-    class_of = list(p0.class_of)
-    masks = [p0.class_mask(c) for c in range(r)]
-    improved = True
-    while improved:
-        improved = False
-        for v in range(n):
-            cv = class_of[v]
-            own = (adj[v] & masks[cv]).bit_count()
-            if own == 0:
-                continue
-            for j in range(r):
-                if j != cv and (adj[v] & masks[j]).bit_count() < own:
-                    masks[cv] ^= 1 << v
-                    masks[j] |= 1 << v
-                    class_of[v] = j
-                    improved = True
-                    break
-    return Partition(n, r, tuple(class_of))

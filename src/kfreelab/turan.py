@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Sequence, Tuple
 
-from .errors import DomainError, SizeError, UnsupportedCaseError
-from .graph_core import LabeledGraph, contains_clique
+from .errors import DomainError, SizeError
+from .graph_core import LabeledGraph, Partition, contains_clique
 from .graph_core import _clique_in_mask  # shared clique-in-mask kernel
 
 __all__ = [
@@ -50,16 +50,24 @@ def ex_turan(n: int, k: int) -> int:
     return math.comb(n, 2) - sum(math.comb(s, 2) for s in sizes)
 
 
+def _complete_multipartite(class_of: Sequence[int]) -> LabeledGraph:
+    """The complete multipartite graph with vertex v in class class_of[v]."""
+    n = len(class_of)
+    return LabeledGraph(n, Partition(n, max(class_of) + 1, tuple(class_of)).cross_edge_mask())
+
+
+def _blocks(sizes: Sequence[int]) -> List[int]:
+    """Class index of each vertex when the classes are consecutive blocks."""
+    return [i for i, s in enumerate(sizes) for _ in range(s)]
+
+
 def turan_graph(n: int, r: int) -> LabeledGraph:
     """The balanced complete r-partite graph, vertex v in class v mod r."""
     if r < 1:
         raise DomainError(f"r={r}: need at least one class")
     if n < 1:
         raise DomainError(f"n={n}: need at least one vertex")
-    pairs = [
-        (u, v) for u in range(n - 1) for v in range(u + 1, n) if u % r != v % r
-    ]
-    return LabeledGraph.from_edge_list(n, pairs)
+    return _complete_multipartite([v % r for v in range(n)])
 
 
 @dataclass(frozen=True)
@@ -88,47 +96,20 @@ class MultipartiteHost:
 
     def complete_graph(self) -> LabeledGraph:
         """The complete r-partite host itself, classes as consecutive blocks."""
-        n = self.total_vertices()
-        cls = []
-        for i, s in enumerate(self.sizes):
-            cls.extend([i] * s)
-        pairs = [
-            (u, v) for u in range(n - 1) for v in range(u + 1, n) if cls[u] != cls[v]
-        ]
-        return LabeledGraph.from_edge_list(n, pairs)
+        return _complete_multipartite(_blocks(self.sizes))
 
 
-def ex_multipartite(host: MultipartiteHost, forbid_k: Optional[int] = None) -> int:
+def ex_multipartite(host: MultipartiteHost) -> int:
     """Max edges of a K_r-free subgraph of the complete r-partite host:
-    e(host) - n_1*n_2 with n_1 <= n_2 the two smallest classes.
-
-    Only the forbid_k = r case is supported; anything else is rejected
-    rather than silently extrapolated.
-    """
-    r = host.r
-    if forbid_k is None:
-        forbid_k = r
-    if forbid_k != r:
-        raise UnsupportedCaseError(
-            f"forbid_k={forbid_k}: only the K_r-in-r-partite case (forbid_k={r}) is supported"
-        )
+    e(host) - n_1*n_2 with n_1 <= n_2 the two smallest classes."""
     return host.edge_count() - host.sizes[0] * host.sizes[1]
 
 
 def extremal_multipartite_graph(host: MultipartiteHost) -> LabeledGraph:
     """Complete r-partite host minus every edge between the two smallest
-    classes; K_r-free with exactly ex_multipartite(host) edges."""
-    n = host.total_vertices()
-    cls = []
-    for i, s in enumerate(host.sizes):
-        cls.extend([i] * s)
-    pairs = [
-        (u, v)
-        for u in range(n - 1)
-        for v in range(u + 1, n)
-        if cls[u] != cls[v] and {cls[u], cls[v]} != {0, 1}
-    ]
-    g = LabeledGraph.from_edge_list(n, pairs)
+    classes, that is, the complete (r-1)-partite graph with those two
+    classes merged; K_r-free with exactly ex_multipartite(host) edges."""
+    g = _complete_multipartite([max(c - 1, 0) for c in _blocks(host.sizes)])
     assert g.edge_count == ex_multipartite(host)
     return g
 

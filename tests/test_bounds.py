@@ -18,7 +18,6 @@ from kfreelab import (
     Partition,
     RegularizationParams,
     avoidance_probability_exact,
-    binom_ratio_bounds,
     construct_regularized_hypergraph,
     contains_clique,
     dsets_tail_bound,
@@ -28,7 +27,6 @@ from kfreelab import (
     heuristic_threshold_probe,
     hypergeom_hoeffding,
     janson_upper,
-    kr_family,
     krminus_family,
     m_r,
     mu_delta_closed_form,
@@ -229,29 +227,6 @@ def test_krminus_semantics_exhaustive():
         assert avoided == (not contains_clique(g, 3))
 
 
-def test_kr_structure_and_duplicates():
-    p = Partition(6, 3, (0, 0, 1, 1, 2, 2))
-    tuples = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-    fam = kr_family(p, tuples + [tuples[0]])  # duplicate preserved
-    assert len(fam.sets) == 9
-    assert all(len(s) == 3 for s in fam.sets)
-    assert fam.ground_size == 12
-    with pytest.raises(DomainError, match="class"):
-        kr_family(p, [(0, 1, 4)])  # second entry not in class 1
-
-
-def test_kr_semantics_exhaustive():
-    p = Partition(6, 3, (0, 0, 1, 1, 2, 2))
-    tuples = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-    fam = kr_family(p, tuples)
-    slots = fam.slot_edges
-    for rmask in range(0, 1 << 12, 7):  # stride keeps it quick, still 586 cases
-        edges = [slots[i] for i in range(12) if rmask >> i & 1]
-        g = LabeledGraph.from_edge_list(6, edges)
-        avoided = not any(all(rmask >> i & 1 for i in b) for b in fam.sets)
-        assert avoided == (not contains_clique(g, 3))
-
-
 def test_krminus_empty_other_class_gives_empty_family():
     p = Partition(3, 2, (0, 0, 0))  # class 1 empty -- only one real class
     fam = krminus_family(p, (0, 1))
@@ -267,7 +242,6 @@ def union_family(p, edges):
     return ForbiddenFamily(
         fams[0].ground_size,
         tuple(s for f in fams for s in f.sets),
-        host=p,
         slot_edges=fams[0].slot_edges,
     )
 
@@ -278,16 +252,6 @@ def test_closed_form_single_edge_r2_has_zero_delta():
     md = mu_delta_closed_form(p, u, Fraction(1, 2), exact=True)
     assert md.delta == 0
     assert md.mu == Fraction(1, 2)  # 1 * 2^(2-1) * (1/2)^2
-
-
-def test_closed_form_crude_assembly_is_coarser():
-    p = Partition(6, 2, (0, 0, 0, 1, 1, 1))
-    u = LabeledGraph.from_edge_list(6, [(0, 1), (1, 2)])
-    typed = mu_delta_closed_form(p, u, 0.3)
-    crude = mu_delta_closed_form(p, u, 0.3, assembly="crude")
-    assert typed.delta <= crude.delta
-    with pytest.raises(DomainError):
-        mu_delta_closed_form(p, u, 0.3, assembly="fancy")
 
 
 def test_closed_form_rejects_cross_class_edges():
@@ -364,35 +328,12 @@ def test_dsets_validation():
         dsets_tail_bound(2, 0.2, 0.5, [3, 3], 4)  # d > min size
 
 
-def test_binom_ratio_fixture_and_order():
-    lo, hi = binom_ratio_bounds(6, 4, 2)
-    assert (lo, hi) == (2.25, 4.0)
-    assert lo <= 15 / 6 <= hi
-
-
-def test_binom_ratio_exhaustive():
-    for a in range(2, 13):
-        for b in range(1, a):
-            for c in range(1, b):
-                lo, hi = binom_ratio_bounds(a, b, c)
-                ratio = math.comb(a, c) / math.comb(b, c)
-                assert lo <= ratio + 1e-12
-                assert ratio <= hi + 1e-12
-
-
 def test_vandermonde_products_stay_below():
     for a in range(1, 13):
         for b in range(1, 13):
             for c in range(0, a + b + 1):
                 for d in range(0, c + 1):
                     assert math.comb(a, d) * math.comb(b, c - d) <= math.comb(a + b, c)
-
-
-def test_binom_ratio_validation():
-    with pytest.raises(DomainError):
-        binom_ratio_bounds(4, 4, 2)
-    with pytest.raises(DomainError):
-        binom_ratio_bounds(6, 4, 0)
 
 
 # -- regularization ---------------------------------------------------------

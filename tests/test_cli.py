@@ -311,6 +311,34 @@ def test_bounds_family_file_errors(tmp_path, capsys):
     assert rc == 2
 
 
+JANSON = ("janson", "--m", "2")
+
+
+@pytest.mark.parametrize(
+    "argv,family,field",
+    [
+        (("dsets", "--k", "2", "--alpha", "0.2", "--lam", "0.5", "--d", "2",
+          "--sizes", "3,x"), None, "sizes="),
+        (JANSON, b'{"ground_size": 4, "sets": [[0, "1"]]}', "set (0, '1')"),
+        (JANSON, b'{"ground_size": "4", "sets": [[0]]}', "ground_size="),
+        (JANSON, b'{"ground_size": 4, "sets": [0, 1]}', "sets"),
+        (JANSON, '{"ground_size": 4, "sets": [[0]], "note": "\u00e9"}'.encode(), "family="),
+        (JANSON, b'{"ground_size": 4.5, "sets": [[0]]}', "ground_size="),
+        (("probe", "--n", "10", "--r", "2", "--m", "nan"), None, "m=nan"),
+    ],
+    ids=["sizes-token", "slot-string", "ground-size-string", "sets-flat", "non-ascii",
+         "ground-size-float", "probe-m-nan"],
+)
+def test_malformed_input_is_domain_error(tmp_path, capsys, argv, family, field):
+    if family is not None:
+        path = tmp_path / "family.json"
+        path.write_bytes(family)
+        argv = argv + ("--family", str(path))
+    rc, out, err = run(capsys, "bounds", *argv)
+    assert rc == 2 and out == ""
+    assert field in err
+
+
 def test_bounds_scalar_subcommands(capsys):
     rc, out, _ = run(capsys, "bounds", "hoeffding", "--alpha", "0.2",
                      "--lam", "0.5", "--d", "6")

@@ -16,13 +16,10 @@ from kfreelab import (
     Partition,
     SizeError,
     contains_clique,
-    count_cliques,
     enumerate_partitions,
     graph_literal,
     is_balanced,
     is_r_colorable,
-    local_min_partition,
-    min_miscolored_exact,
     miscolored_edges,
     parse_graph,
 )
@@ -34,16 +31,6 @@ PETERSEN = "10;1-2,2-3,3-4,4-5,5-1,1-6,2-7,3-8,4-9,5-10,6-8,8-10,10-7,7-9,9-6"
 def all_graphs(n):
     for mask in range(1 << (n * (n - 1) // 2)):
         yield LabeledGraph(n, mask)
-
-
-def brute_min_miscolored(g, r):
-    best = None
-    for colors in product(range(r), repeat=g.n):
-        p = Partition(g.n, r, colors)
-        cost = miscolored_edges(g, p)
-        if best is None or cost < best:
-            best = cost
-    return best
 
 
 # -- literals ---------------------------------------------------------------
@@ -75,24 +62,22 @@ def test_literal_roundtrip_random(n, data):
 # -- cliques ----------------------------------------------------------------
 
 
-def test_clique_count_fixtures():
+def test_contains_clique_fixtures():
     k4 = LabeledGraph.complete(4)
-    assert count_cliques(k4, 3) == 4
-    assert count_cliques(LabeledGraph.complete(5), 3) == 10
-    assert count_cliques(parse_graph(PETERSEN), 3) == 0
     assert contains_clique(k4, 4) and not contains_clique(k4, 5)
+    assert contains_clique(LabeledGraph.complete(5), 5)
+    assert not contains_clique(parse_graph(PETERSEN), 3)
     assert contains_clique(k4, 0)  # empty clique always present
 
 
 def test_contains_iff_count_positive_exhaustive_n5():
     for g in all_graphs(5):
         for k in range(2, 6):
-            assert contains_clique(g, k) == (count_cliques(g, k) > 0)
-
-
-def test_count_cliques_k2_is_edge_count():
-    for g in all_graphs(4):
-        assert count_cliques(g, 2) == g.edge_count
+            brute = any(
+                all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+                for vs in combinations(range(5), k)
+            )
+            assert contains_clique(g, k) == brute
 
 
 # -- colorability -----------------------------------------------------------
@@ -114,18 +99,32 @@ def test_petersen_three_colorable_not_two():
 
 
 def test_witness_is_lex_least_exhaustive_n4():
-    for g in all_graphs(4):
+    # every graph on 4 and on 5 vertices; product() walks the color
+    # vectors in lexicographic order, so the first proper one is the least
+    for n in (4, 5):
+        for g in all_graphs(n):
+            edges = g.edge_list()
+            for r in (2, 3):
+                w = is_r_colorable(g, r)
+                least = next(
+                    (c for c in product(range(r), repeat=n)
+                     if all(c[u] != c[v] for u, v in edges)),
+                    None,
+                )
+                assert (None if w is None else w.class_of) == least
+
+
+def test_colorable_iff_min_miscolored_zero_exhaustive_n5():
+    for g in all_graphs(5):
         for r in (2, 3):
+            cost = min(
+                miscolored_edges(g, Partition(5, r, c))
+                for c in product(range(r), repeat=5)
+            )
             w = is_r_colorable(g, r)
-            proper = [
-                c
-                for c in product(range(r), repeat=4)
-                if miscolored_edges(g, Partition(4, r, c)) == 0
-            ]
-            if w is None:
-                assert not proper
-            else:
-                assert w.class_of == min(proper)
+            assert (cost == 0) == (w is not None)
+            if w is not None:
+                assert miscolored_edges(g, w) == 0
 
 
 def bfs_bipartition_reference(adj, n):
@@ -179,64 +178,6 @@ def test_bipartition_matches_bfs_reference(g):
     assert _colorable(g.adjacency(), g.n, 2) == (ref is not None)
     w = is_r_colorable(g, 2)
     assert (None if w is None else list(w.class_of)) == ref
-
-
-def test_colorable_iff_min_miscolored_zero_exhaustive_n5():
-    for g in all_graphs(5):
-        for r in (2, 3):
-            cost, w = min_miscolored_exact(g, r)
-            assert (cost == 0) == (is_r_colorable(g, r) is not None)
-            assert miscolored_edges(g, w) == cost
-
-
-def test_min_miscolored_fixtures():
-    assert min_miscolored_exact(LabeledGraph.complete(4), 2)[0] == 2
-    c5 = parse_graph("5;1-2,2-3,3-4,4-5,5-1")
-    assert min_miscolored_exact(c5, 2)[0] == 1
-
-
-def test_min_miscolored_matches_brute_force_n4():
-    for g in all_graphs(4):
-        cost, w = min_miscolored_exact(g, 2)
-        assert cost == brute_min_miscolored(g, 2)
-        # the witness itself is the lexicographically least optimum
-        best = min(
-            c
-            for c in product(range(2), repeat=4)
-            if miscolored_edges(g, Partition(4, 2, c)) == cost
-        )
-        assert w.class_of == best
-
-
-def test_min_miscolored_guard():
-    with pytest.raises(SizeError):
-        min_miscolored_exact(LabeledGraph.complete(20), 4)
-
-
-def test_local_min_triangle():
-    k3 = LabeledGraph.complete(3)
-    p0 = Partition(3, 2, (0, 0, 0))
-    p = local_min_partition(k3, p0)
-    assert miscolored_edges(k3, p) == 1
-
-
-@given(st.integers(3, 7), st.data())
-@settings(max_examples=60)
-def test_local_min_is_a_fixpoint(n, data):
-    nbits = n * (n - 1) // 2
-    g = LabeledGraph(n, data.draw(st.integers(0, (1 << nbits) - 1)))
-    r = data.draw(st.integers(2, 4))
-    p0 = Partition(n, r, tuple(data.draw(st.integers(0, r - 1)) for _ in range(n)))
-    p = local_min_partition(g, p0)
-    base = miscolored_edges(g, p)
-    adj = g.adjacency()
-    for v in range(n):
-        here = (adj[v] & p.class_mask(p.class_of[v])).bit_count()
-        for c in range(r):
-            if c != p.class_of[v]:
-                there = (adj[v] & p.class_mask(c)).bit_count()
-                assert there >= here  # no single move improves
-    assert base <= miscolored_edges(g, p0)
 
 
 # -- partitions -------------------------------------------------------------

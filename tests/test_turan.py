@@ -9,7 +9,6 @@ from kfreelab import (
     LabeledGraph,
     MultipartiteHost,
     SizeError,
-    UnsupportedCaseError,
     balanced_sizes,
     brute_force_ex,
     contains_clique,
@@ -70,13 +69,6 @@ def test_ex_multipartite_fixtures():
     assert ex_multipartite(MultipartiteHost((1, 2, 3))) == 9
     assert ex_multipartite(MultipartiteHost((1, 1))) == 0
     assert ex_multipartite(MultipartiteHost((4, 4))) == 0
-
-
-def test_ex_multipartite_only_forbids_transversal_clique():
-    h = MultipartiteHost((2, 2, 2))
-    assert ex_multipartite(h, forbid_k=3) == 8
-    with pytest.raises(UnsupportedCaseError):
-        ex_multipartite(h, forbid_k=2)
 
 
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (1, 2, 3), (2, 2, 2), (2, 2, 3)])
