@@ -138,14 +138,12 @@ class RegularizationParams:
     """Knobs of the stepwise hypergraph regularization.
 
     c2 is the degree-cap multiplier, dstar the per-class neighborhood
-    size, lam the usefulness budget (the canonical choice is 2^-(r+1)),
-    alpha the density scale used by the d-sets bound.
+    size, lam the usefulness budget (the canonical choice is 2^-(r+1)).
     """
 
     c2: float
     dstar: int
     lam: float
-    alpha: float
 
     def __post_init__(self) -> None:
         if self.c2 <= 0:
@@ -154,8 +152,6 @@ class RegularizationParams:
             raise DomainError(f"dstar={self.dstar}: must be a positive integer")
         if not 0 < self.lam < 1:
             raise DomainError(f"lam={self.lam}: must lie in (0,1)")
-        if not 0 < self.alpha < 1:
-            raise DomainError(f"alpha={self.alpha}: must lie in (0,1)")
 
 
 # ---------------------------------------------------------------------------

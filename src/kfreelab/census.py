@@ -22,7 +22,7 @@ within words; passes over higher bits combine whole words.  The mask
 space is sharded on high-order mask bits; each shard runs the transforms
 over its low bits only and the per-m tallies (popcounts of the planes)
 merge by plain integer addition, so results are byte-identical for any
-shard count and any worker count.
+shard count.  The shards run one after another in this process.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -55,6 +54,7 @@ __all__ = [
 ]
 
 MAX_CENSUS_VERTICES = 8
+MAX_SUMMARY_VERTICES = 7  # summary_counts, and so the sampler's exact law
 CENSUS_FORMAT_VERSION = "KFREE-CENSUS v1"
 
 
@@ -198,7 +198,8 @@ def _partition_planes(
 
 def _census_shard(args: Tuple) -> Tuple[np.ndarray, ...]:
     """Tally one shard: all masks whose top bits equal the shard value.
-    args is (n, r, low_bits, shard_value, cross masks of the partitions)."""
+    args is (n, r, low_bits, shard_value, cross masks of the partitions):
+    one tuple, so that a tracer wrapping this function can read args[2]."""
     n, r, low_bits, shard_value, part_masks = args
     nslots = n * (n - 1) // 2
     shard_pop = int(shard_value).bit_count()
@@ -231,21 +232,17 @@ def _census_shard(args: Tuple) -> Tuple[np.ndarray, ...]:
     return tally(clq), tally(g1), tally(g2)
 
 
-def shard_count(n: int, shards: Optional[int] = None) -> int:
-    """The shard count run_census uses: shards if given, else 1 below n=8
-    and 16 at n=8."""
-    if shards is not None:
-        return shards
+def shard_count(n: int) -> int:
+    """The default shard count of run_census, and the one the command line
+    always uses: 1 below n=8 and 16 at n=8."""
     return 16 if n * (n - 1) // 2 > 24 else 1
 
 
-def run_census(
-    n: int, r: int, *, shards: Optional[int] = None, jobs: int = 1
-) -> CensusTable:
+def run_census(n: int, r: int, *, shards: Optional[int] = None) -> CensusTable:
     """Exact per-m counts over every one of the 2^C(n,2) labeled graphs.
 
-    shards must be a power of two (default: 1 below n=8, 16 at n=8); the
-    result is independent of both shards and jobs.
+    shards must be a power of two (default: shard_count(n)); the result
+    is independent of it, which the tests check.
     """
     if n > MAX_CENSUS_VERTICES:
         raise SizeError(
@@ -257,28 +254,20 @@ def run_census(
     if r < 1:
         raise DomainError(f"r={r}: need at least one color class")
     nslots = n * (n - 1) // 2
-    shards = shard_count(n, shards)
+    shards = shard_count(n) if shards is None else shards
     if shards < 1 or shards & (shards - 1):
         raise DomainError(f"shards={shards}: must be a power of two")
     shard_bits = shards.bit_length() - 1
     if shard_bits > nslots:
         raise DomainError(f"shards={shards}: more than 2^{nslots} masks exist")
-    if jobs < 1:
-        raise DomainError(f"jobs={jobs}: need at least one worker")
     low_bits = nslots - shard_bits
 
     part_masks = _partition_cross_masks(n, r)
-    work = [(n, r, low_bits, h, part_masks) for h in range(shards)]
-    if jobs > 1 and shards > 1:
-        with Pool(min(jobs, shards)) as pool:
-            parts = pool.map(_census_shard, work)
-    else:
-        parts = [_census_shard(w) for w in work]
-
     free = np.zeros(nslots + 1, dtype=np.int64)
     rcol = np.zeros(nslots + 1, dtype=np.int64)
     unique = np.zeros(nslots + 1, dtype=np.int64)
-    for f, c, u in parts:
+    for h in range(shards):
+        f, c, u = _census_shard((n, r, low_bits, h, part_masks))
         free += f
         rcol += c
         unique += u
@@ -404,9 +393,9 @@ def load_census(path) -> CensusTable:
 
 def summary_counts(n: int, r: int, m: int) -> Dict[Tuple[bool, int], int]:
     """Joint counts of (is r-colorable, triangle count) over all
-    K_{r+1}-free graphs with exactly m edges; n <= 7 (single shard)."""
-    if n > 7:
-        raise SizeError(f"n={n}: summary distribution is capped at n <= 7")
+    K_{r+1}-free graphs with exactly m edges; n <= MAX_SUMMARY_VERTICES."""
+    if n > MAX_SUMMARY_VERTICES:
+        raise SizeError(f"n={n}: summary distribution is capped at n <= {MAX_SUMMARY_VERTICES}")
     if n < 1:
         raise DomainError(f"n={n}: need at least one vertex")
     nslots = n * (n - 1) // 2

@@ -5,11 +5,13 @@ Subcommands: thresholds, census, sweep, sample, and a bounds group
 stdout or file, any format — begins with a reproducibility stanza
 (package version, seed, RNG id, shard count) and nothing time- or
 host-dependent, so identical invocations produce byte-identical output.
+The census always runs census.shard_count(n) shards, so a table loaded
+from the cache prints the same stanza as a computed one.
 
-Exit codes: 0 success, 2 domain error, 3 size guard, 4 I/O; error
-messages name the offending parameter.  KFREE_CACHE_DIR provides the
-default for --cache-dir; cached censuses are stored in the checksummed
-native format and verified on load.
+Exit codes: 0 success, 2 domain error (also an integer flag too large for
+its computation), 3 size guard, 4 I/O; error messages name the offending
+parameter.  KFREE_CACHE_DIR provides the default for --cache-dir; cached
+censuses are stored in the checksummed native format and verified on load.
 """
 
 from __future__ import annotations
@@ -113,13 +115,12 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cached_census(args: argparse.Namespace) -> Tuple[census.CensusTable, int]:
+def _cached_census(args: argparse.Namespace) -> census.CensusTable:
     """Load from --cache-dir when a valid cache exists, else compute (and
     cache when a directory is configured).  A cached table for another
     (n, r) than its file name states is a cache error.  A load is reported
     on stderr, so the artifact stays that of the computed run."""
     n, r = args.n, args.r
-    shards = census.shard_count(n, args.shards)
     cache_dir = args.cache_dir or os.environ.get("KFREE_CACHE_DIR")
     path = os.path.join(cache_dir, f"census_n{n}_r{r}.txt") if cache_dir else None
     if path and os.path.exists(path):
@@ -130,22 +131,23 @@ def _cached_census(args: argparse.Namespace) -> Tuple[census.CensusTable, int]:
                 f"but n={n}, r={r} was requested"
             )
         print(f"kfree: census n={n} r={r} loaded from {path}", file=sys.stderr)
-        return table, shards
-    table = census.run_census(n, r, shards=args.shards, jobs=args.jobs)
+        return table
+    table = census.run_census(n, r)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         census.save_census(table, path)
-    return table, shards
+    return table
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    table, shards = _cached_census(args)
+    table = _cached_census(args)
     rows = [
         (str(w.m), str(w.free), str(w.free_rcol), str(w.rcol), str(w.unique_rcol), str(w.pair_sum))
         for w in table.rows
     ]
     header = ("m", "free", "free_rcol", "rcol", "unique_rcol", "pair_sum")
-    _emit(rows, header, args.format, args.out, _make_meta(None, None, shards))
+    meta = _make_meta(None, None, census.shard_count(args.n))
+    _emit(rows, header, args.format, args.out, meta)
     return 0
 
 
@@ -176,6 +178,14 @@ def _parse_grid(spec: str, n: int, r: int) -> List[int]:
     return grid
 
 
+def _chain_config(args: argparse.Namespace, m: int, seed: int) -> sampler.ChainConfig:
+    """The chain of `sweep --engine sampler` and `sample` at (m, seed)."""
+    return sampler.ChainConfig(
+        n=args.n, r=args.r, m=m, seed=seed,
+        burn_in=args.burn_in, thin=args.thin, chains=args.chains,
+    )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
     grid = _parse_grid(args.m, n, r)
@@ -188,25 +198,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"n={n}: the census engine is capped at n <= "
                 f"{census.MAX_CENSUS_VERTICES}; use --engine sampler"
             )
-        table, shards = _cached_census(args)
+        table = _cached_census(args)
         for m in grid:
             frac = census.fraction_rpartite(table, m)
             rows.append(
                 (str(n), str(r), str(m), "census", _fnum(float(frac)), _fnum(0.0),
                  str(table.rows[m].free), "0")
             )
-        meta = _make_meta(None, None, shards)
+        meta = _make_meta(None, None, census.shard_count(n))
     else:
         for idx, m in enumerate(grid):
-            cfg = sampler.ChainConfig(
-                n=n,
-                r=r,
-                m=m,
-                seed=args.seed + 1000003 * idx,
-                burn_in=args.burn_in,
-                thin=args.thin,
-                chains=args.chains,
-            )
+            cfg = _chain_config(args, m, args.seed + 1000003 * idx)
             res = sampler.estimate_rpartite(cfg, args.steps)
             caveat = "1" if m > 0.9 * cap else "0"
             rows.append(
@@ -220,15 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = sampler.ChainConfig(
-        n=args.n,
-        r=args.r,
-        m=args.m,
-        seed=args.seed,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        chains=args.chains,
-    )
+    cfg = _chain_config(args, args.m, args.seed)
     log: Optional[List[dict]] = [] if args.dump else None
     res = sampler.estimate_rpartite(cfg, args.steps, log=log)
     meta = _make_meta(args.seed, _RNG_ID, None)
@@ -337,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("census", help="exact labeled census (n <= 8)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--shards", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", dest="cache_dir", default=None)
     _add_output_flags(p)
     p.set_defaults(fn=cmd_census)
@@ -353,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         "from n to ex_turan with the m_r point forced in",
     )
     p.add_argument("--engine", choices=("census", "sampler"), default="census")
-    p.add_argument("--shards", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", dest="cache_dir", default=None)
     _add_chain_flags(p)
     _add_output_flags(p)
@@ -427,6 +417,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except DomainError as exc:
         print(f"kfree: domain error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # an integer flag beyond double range, or one that drives a float
+        # formula past it: name the outsized flags, else every integer flag
+        ints = {k: v for k, v in vars(args).items() if type(v) is int}
+        big = {k: v for k, v in ints.items() if abs(v) > sys.float_info.max} or ints
+        fields = ", ".join(f"{k}={v}" for k, v in big.items())
+        print(f"kfree: domain error: {fields}: beyond numeric range", file=sys.stderr)
         return 2
     except (CacheError, OSError) as exc:
         print(f"kfree: i/o error: {exc}", file=sys.stderr)

@@ -270,7 +270,8 @@ def enumerate_partitions(n: int, r: int) -> Iterator[Partition]:
         raise DomainError(f"n={n}: need at least one vertex")
     if r < 1:
         raise DomainError(f"r={r}: need at least one class")
-    if r**n > _ENUM_GUARD:
+    # 2^n > guard once n reaches its bit length: no r**n of a huge n is built
+    if r > 1 and (n >= _ENUM_GUARD.bit_length() or r**n > _ENUM_GUARD):
         raise SizeError(f"r^n = {r}^{n} exceeds the enumeration guard {_ENUM_GUARD}")
     a = [0] * n
     mx = [0] * n  # mx[i] = max(a[0..i])

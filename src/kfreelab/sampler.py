@@ -28,8 +28,8 @@ estimate_rpartite and tv_diagnostic read one chain pass, _chain_pass: per
 chain, a histogram of (r-colorable?, triangles) at the retained steps.  It
 is memoised for one config, so "estimate, then tv on the same config" runs
 its chains once and any other config evicts it; a logged estimate runs it
-uncached.  Triangles are counted only where read (r >= 3, at n <= _TV_MAX_N
-or into a log): every r=2 state is triangle-free.
+uncached.  Triangles are counted only where read (r >= 3, at n <=
+MAX_SUMMARY_VERTICES or into a log): every r=2 state is triangle-free.
 
 The between-chain standard error reported by estimate_rpartite is the
 sample standard deviation of per-chain means divided by sqrt(chains);
@@ -49,7 +49,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import census
-from .errors import DomainError, InfeasibleError, SizeError
+from .census import MAX_SUMMARY_VERTICES  # the exact law's reach
+from .errors import DomainError, InfeasibleError
 from .graph_core import MAX_VERTICES, LabeledGraph, pair_table
 from .graph_core import _clique_in_mask, _colorable  # shared kernels
 from .turan import ex_turan, turan_graph
@@ -66,7 +67,6 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14
-_TV_MAX_N = 7  # tv_diagnostic needs the exact census law
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def _chain_pass(cfg: ChainConfig, per_chain: int, log: Optional[list] = None) ->
     accepted_moves and steps_taken.  Callers must not mutate the result.
     When log is given (uncached, through __wrapped__), one dict per retained
     sample is appended, chains concatenated in order."""
-    count_triangles = cfg.r >= 3 and (log is not None or cfg.n <= _TV_MAX_N)
+    count_triangles = cfg.r >= 3 and (log is not None or cfg.n <= MAX_SUMMARY_VERTICES)
     runs = []
     for ci in range(cfg.chains):
         state = init_chain(cfg, ci)
@@ -319,9 +319,8 @@ def tv_diagnostic(cfg: ChainConfig, total_steps: int) -> float:
     """Total-variation distance between the sampler's empirical law of
     (r-colorable?, triangle count) and the exact census law at (n, r, m).
 
-    Needs the exact joint distribution, hence n <= 7."""
-    if cfg.n > _TV_MAX_N:
-        raise SizeError(f"n={cfg.n}: the diagnostic needs the exact law (n <= {_TV_MAX_N})")
+    Needs the exact joint distribution: beyond n = MAX_SUMMARY_VERTICES,
+    census.summary_counts raises SizeError."""
     exact_counts = census.summary_counts(cfg.n, cfg.r, cfg.m)
     total_exact = sum(exact_counts.values())
     if total_exact == 0:

@@ -41,13 +41,14 @@ def balanced_sizes(n: int, r: int) -> Tuple[int, ...]:
 
 def ex_turan(n: int, k: int) -> int:
     """Max edges of a K_k-free graph on n vertices: e of the balanced
-    complete (k-1)-partite graph."""
+    complete (k-1)-partite graph, in closed form over its rem classes of
+    size q+1 and k-1-rem of size q."""
     if k < 2:
         raise DomainError(f"k={k}: the forbidden clique K_k needs k >= 2")
     if n < 0:
         raise DomainError(f"n={n}: vertex count cannot be negative")
-    sizes = balanced_sizes(n, k - 1)
-    return math.comb(n, 2) - sum(math.comb(s, 2) for s in sizes)
+    q, rem = divmod(n, k - 1)
+    return math.comb(n, 2) - rem * math.comb(q + 1, 2) - (k - 1 - rem) * math.comb(q, 2)
 
 
 def _complete_multipartite(class_of: Sequence[int]) -> LabeledGraph:

@@ -84,7 +84,7 @@ def test_criterion_02_census(tmp_path):
 
     endpoints = True
     for n in (4, 5, 6, 7):
-        table = census.run_census(n, 2, jobs=4 if n == 7 else 1)
+        table = census.run_census(n, 2)
         endpoints &= census.fraction_rpartite(table, ex_turan(n, 3)) == 1
         if n == 6:
             six_elapsed = time.monotonic() - t0
@@ -316,7 +316,6 @@ def test_criterion_08_regularization():
             c2=rnd.choice([10.0, 50.0, 200.0, 1000.0]),
             dstar=dstar,
             lam=2.0 ** -(r + 1),
-            alpha=0.05,
         )
         steps = rnd.randint(1, 10)
         w = [

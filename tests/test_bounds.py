@@ -340,7 +340,7 @@ def test_vandermonde_products_stay_below():
 
 
 def test_regularization_single_step_adds_full_product():
-    params = RegularizationParams(c2=200.0, dstar=2, lam=2**-4, alpha=0.05)
+    params = RegularizationParams(c2=200.0, dstar=2, lam=2**-4)
     h, flags = construct_regularized_hypergraph(
         [[[0, 1], [0, 1], [0, 1]]], params, [4, 4, 4]
     )
@@ -349,7 +349,7 @@ def test_regularization_single_step_adds_full_product():
 
 
 def test_regularization_repeat_step_not_useful():
-    params = RegularizationParams(c2=200.0, dstar=2, lam=2**-4, alpha=0.05)
+    params = RegularizationParams(c2=200.0, dstar=2, lam=2**-4)
     w = [[[0, 1], [0, 1], [0, 1]]] * 2
     h, flags = construct_regularized_hypergraph(w, params, [4, 4, 4])
     assert len(h) == 8  # no duplicates
@@ -359,7 +359,7 @@ def test_regularization_repeat_step_not_useful():
 def test_regularization_low_threshold_blocks():
     # c2 tiny: after the first step every pair is saturated, so the second
     # (disjoint) vertex still adds, but any overlapping sub-tuple is blocked
-    params = RegularizationParams(c2=1e-9, dstar=2, lam=0.4, alpha=0.05)
+    params = RegularizationParams(c2=1e-9, dstar=2, lam=0.4)
     w = [
         [[0, 1], [0, 1], [0, 1]],
         [[0, 1], [0, 1], [2, 3]],  # shares the (a,b) pair coordinates
@@ -377,7 +377,6 @@ def test_regularization_caps_and_useful_gain():
             c2=rnd.choice([20.0, 100.0, 400.0]),
             dstar=dstar,
             lam=2 ** -(r + 1),
-            alpha=0.05,
         )
         w = [
             [rnd.sample(range(sizes[j]), dstar) for j in range(r)]
@@ -405,15 +404,15 @@ def test_regularization_caps_and_useful_gain():
 
 
 def test_regularization_validation():
-    params = RegularizationParams(c2=10.0, dstar=2, lam=0.1, alpha=0.1)
+    params = RegularizationParams(c2=10.0, dstar=2, lam=0.1)
     with pytest.raises(DomainError, match="W\\[0\\]\\[1\\]"):
         construct_regularized_hypergraph([[[0, 1], [0, 0]]], params, [4, 4])
     with pytest.raises(DomainError):
         construct_regularized_hypergraph([[[0, 5], [0, 1]]], params, [4, 4])
     with pytest.raises(DomainError):
-        RegularizationParams(c2=0.0, dstar=2, lam=0.1, alpha=0.1)
+        RegularizationParams(c2=0.0, dstar=2, lam=0.1)
     with pytest.raises(DomainError):
-        RegularizationParams(c2=1.0, dstar=2, lam=1.5, alpha=0.1)
+        RegularizationParams(c2=1.0, dstar=2, lam=1.5)
 
 
 # -- criticality probe ------------------------------------------------------

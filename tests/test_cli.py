@@ -91,8 +91,19 @@ def test_census_cache_roundtrip(tmp_path, capsys):
     rc2, out2, err2 = run(capsys, *args)
     assert rc2 == 0 and out2 == out1
     assert err2 == f"kfree: census n=5 r=2 loaded from {cache}\n"
-    rc3, _, err3 = run(capsys, "sweep", "--n", "5", "--r", "2", "--cache-dir", str(tmp_path))
+    rc3, out3, err3 = run(capsys, "sweep", "--n", "5", "--r", "2", "--cache-dir", str(tmp_path))
     assert rc3 == 0 and err3 == err2
+    assert out3 == run(capsys, "sweep", "--n", "5", "--r", "2")[1]
+
+
+def test_census_takes_no_shards_or_jobs(capsys):
+    # the census always runs census.shard_count(n) shards in one process
+    for cmd in ("census", "sweep"):
+        for flag in ("--shards", "--jobs"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--n", "5", "--r", "2", flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_census_corrupt_cache_is_io_error(tmp_path, capsys):
@@ -311,30 +322,44 @@ def test_bounds_family_file_errors(tmp_path, capsys):
     assert rc == 2
 
 
-JANSON = ("janson", "--m", "2")
+JANSON = ("bounds", "janson", "--m", "2")
+BIG = "1" + "0" * 400  # beyond double range, and beyond any list length
 
 
 @pytest.mark.parametrize(
     "argv,family,field",
     [
-        (("dsets", "--k", "2", "--alpha", "0.2", "--lam", "0.5", "--d", "2",
+        (("bounds", "dsets", "--k", "2", "--alpha", "0.2", "--lam", "0.5", "--d", "2",
           "--sizes", "3,x"), None, "sizes="),
         (JANSON, b'{"ground_size": 4, "sets": [[0, "1"]]}', "set (0, '1')"),
         (JANSON, b'{"ground_size": "4", "sets": [[0]]}', "ground_size="),
         (JANSON, b'{"ground_size": 4, "sets": [0, 1]}', "sets"),
         (JANSON, '{"ground_size": 4, "sets": [[0]], "note": "\u00e9"}'.encode(), "family="),
         (JANSON, b'{"ground_size": 4.5, "sets": [[0]]}', "ground_size="),
-        (("probe", "--n", "10", "--r", "2", "--m", "nan"), None, "m=nan"),
+        (("bounds", "probe", "--n", "10", "--r", "2", "--m", "nan"), None, "m=nan"),
+        (("thresholds", "--n", BIG, "--r", "2"), None, f"n={BIG}:"),
+        (("thresholds", "--n", "10", "--r", BIG), None, f"r={BIG}:"),
+        (("thresholds", "--n", "10", "--r", "2", "--ell", BIG), None, f"ell={BIG}:"),
+        (("thresholds", "--n", "10", "--r", "1000"), None, "n=10, r=1000:"),
+        (("bounds", "probe", "--n", BIG, "--r", "2", "--m", "5"), None, f"n={BIG}:"),
+        (("bounds", "hoeffding", "--alpha", "0.2", "--lam", "0.5", "--d", BIG), None,
+         f"d={BIG}:"),
+        (("bounds", "dsets", "--k", "2", "--alpha", "0.2", "--lam", "0.5", "--d", BIG,
+          "--sizes", f"{BIG},{BIG}"), None, f"d={BIG}:"),
+        (("sweep", "--n", "6", "--r", BIG), None, f"r={BIG}:"),
+        (("bounds", "pairsum", "--n", BIG, "--r", "1", "--m", "3"), None, f"n={BIG}:"),
     ],
     ids=["sizes-token", "slot-string", "ground-size-string", "sets-flat", "non-ascii",
-         "ground-size-float", "probe-m-nan"],
+         "ground-size-float", "probe-m-nan", "thresholds-n-huge", "thresholds-r-huge",
+         "thresholds-ell-huge", "thresholds-p-r-overflow", "probe-n-huge",
+         "hoeffding-d-huge", "dsets-d-huge", "sweep-r-huge", "pairsum-n-huge"],
 )
 def test_malformed_input_is_domain_error(tmp_path, capsys, argv, family, field):
     if family is not None:
         path = tmp_path / "family.json"
         path.write_bytes(family)
         argv = argv + ("--family", str(path))
-    rc, out, err = run(capsys, "bounds", *argv)
+    rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert field in err
 

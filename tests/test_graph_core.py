@@ -206,6 +206,9 @@ def test_partitions_are_canonical_and_distinct():
 def test_enumerate_partitions_guard():
     with pytest.raises(SizeError):
         list(enumerate_partitions(30, 4))
+    with pytest.raises(SizeError):  # decided without building 2**n
+        list(enumerate_partitions(10**400, 2))
+    assert len(list(enumerate_partitions(27, 1))) == 1  # 1**n never trips it
 
 
 def test_cross_plus_within_is_all_pairs():

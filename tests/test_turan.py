@@ -1,5 +1,6 @@
 """Extremal numbers: classical and multipartite, formula vs brute force."""
 
+import math
 from itertools import combinations_with_replacement
 
 import pytest
@@ -28,6 +29,17 @@ def test_ex_turan_small_fixtures():
     assert ex_turan(5, 3) == 6
     assert ex_turan(7, 4) == 16
     assert ex_turan(4, 5) == 6  # k > n: nothing to forbid
+
+
+def test_ex_turan_closed_form_matches_class_sizes():
+    for n in range(41):
+        for k in range(2, 46):
+            sizes = balanced_sizes(n, k - 1)
+            assert ex_turan(n, k) == math.comb(n, 2) - sum(math.comb(s, 2) for s in sizes)
+
+
+def test_ex_turan_cost_does_not_grow_with_k():
+    assert ex_turan(10, 10**400) == 45  # k - 1 classes are never built
 
 
 def test_ex_turan_errors():
