@@ -166,6 +166,8 @@ def mu_delta_exact(fam: ForbiddenFamily, m: int, *, exact: bool = False) -> MuDe
     tests that must not be confounded by rounding.
     """
     n = fam.ground_size
+    if n < 1:
+        raise DomainError(f"ground_size={n}: the density p = m/N needs N >= 1")
     if not 0 <= m <= n:
         raise DomainError(f"m={m}: must lie in 0..{n} (ground_size)")
     p: Number = Fraction(m, n) if exact else m / n
@@ -200,6 +202,8 @@ def fkg_lower(fam: ForbiddenFamily, m: int, eta: float) -> float:
     (1+eta)m/N <= 1, with eta in (0,1).
     """
     n = fam.ground_size
+    if n < 1:
+        raise DomainError(f"ground_size={n}: the density (1+eta)m/N needs N >= 1")
     if not 0 < eta < 1:
         raise DomainError(f"eta={eta}: must lie in (0,1)")
     if m < 0 or m > n // 2:
@@ -459,15 +463,13 @@ def dsets_tail_bound(
         raise DomainError(
             f"class_sizes has {len(class_sizes)} entries, expected k={k}"
         )
-    if not 0 < alpha < 1:
-        raise DomainError(f"alpha={alpha}: must lie in (0,1)")
-    if not 0 < lam < 1:
-        raise DomainError(f"lam={lam}: must lie in (0,1)")
     if not 2 <= d <= min(class_sizes):
         raise DomainError(
             f"d={d}: need 2 <= d <= min class size ({min(class_sizes)})"
         )
-    bound = min(1.0, (d**k - 1) * (2 * alpha**lam) ** d)
+    # the Hoeffding factor checks alpha and lam; clamping it first changes
+    # nothing, since d^k - 1 >= 1
+    bound = min(1.0, (d**k - 1) * hypergeom_hoeffding(alpha, lam, d))
     tau = (alpha / 2) ** (k * k / lam) * lam**k * d ** (-(k**3) / (d * lam))
     return DsetsBound(bound=bound, tau=tau)
 

@@ -1,8 +1,10 @@
 """kfree: command line front end.
 
 Subcommands: thresholds, census, sweep, sample, and a bounds group
-(janson, fkg, exact, hoeffding, dsets, probe, pairsum).  Every artifact —
-stdout or file, any format — begins with a reproducibility stanza
+(janson, fkg, exact, hoeffding, dsets, probe, pairsum).  Each returns its
+table (header, rows, meta) and main writes it with _emit, the one writer,
+which also writes the `sample --dump` trace.  Every artifact — stdout,
+--out or --dump file — begins with the same reproducibility stanza
 (package version, seed, RNG id, shard count) and nothing time- or
 host-dependent, so identical invocations produce byte-identical output.
 The census always runs census.shard_count(n) shards, so a table loaded
@@ -28,6 +30,11 @@ from .errors import CacheError, DomainError, KfreeError, SizeError
 from .turan import ex_turan
 
 _RNG_ID = "philox4x64"
+_QUANTITY = ("quantity", "value")
+TRACE_COLUMNS = ("step", "is_rcol", "triangles", "edges_hash")
+
+Rows = List[Tuple[str, ...]]
+Table = Tuple[Tuple[str, ...], Rows, Dict[str, object]]  # header, rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -35,36 +42,30 @@ _RNG_ID = "philox4x64"
 # ---------------------------------------------------------------------------
 
 
-def _stanza_line(meta: Dict[str, object]) -> str:
-    return (
-        f"# kfree {meta['version']} seed={meta['seed']} "
-        f"rng={meta['rng']} shards={meta['shards']}"
-    )
-
-
-def _make_meta(seed: Optional[int], rng: Optional[str], shards: Optional[int]) -> Dict[str, object]:
+def _make_meta(seed: Optional[int] = None, shards: Optional[int] = None) -> Dict[str, object]:
+    """The reproducibility stanza: a seeded run draws from Philox."""
     return {
         "version": __version__,
         "seed": "-" if seed is None else seed,
-        "rng": rng or "none",
+        "rng": "none" if seed is None else _RNG_ID,
         "shards": "-" if shards is None else shards,
     }
 
 
 def _emit(
-    rows: List[Tuple[str, ...]],
     header: Tuple[str, ...],
+    rows: Rows,
+    meta: Dict[str, object],
     fmt: str,
     out: Optional[str],
-    meta: Dict[str, object],
 ) -> None:
-    """rows are pre-stringified; JSON re-parses numeric strings so the
-    three formats carry identical values."""
+    """Write one artifact, stanza first, to out or stdout.  rows are
+    pre-stringified; JSON re-parses numeric strings so the three formats
+    carry identical values."""
     if fmt in ("text", "csv"):
         sep = "," if fmt == "csv" else "  "
-        lines = [_stanza_line(meta), sep.join(header)]
-        lines.extend(sep.join(row) for row in rows)
-        payload = "\n".join(lines) + "\n"
+        stanza = "# kfree {version} seed={seed} rng={rng} shards={shards}".format(**meta)
+        payload = "\n".join([stanza, sep.join(header), *(sep.join(row) for row in rows)]) + "\n"
     elif fmt == "json":
         def decode(s: str) -> object:
             try:
@@ -101,7 +102,7 @@ def _fnum(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
+def cmd_thresholds(args: argparse.Namespace) -> Table:
     n, r = args.n, args.r
     rows = [
         ("theta", _fnum(thresholds.theta(r))),
@@ -111,8 +112,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     ]
     if args.ell is not None:
         rows.append(("t_ell", _fnum(thresholds.t_ell(n, args.ell))))
-    _emit(rows, ("quantity", "value"), args.format, args.out, _make_meta(None, None, None))
-    return 0
+    return _QUANTITY, rows, _make_meta()
 
 
 def _cached_census(args: argparse.Namespace) -> census.CensusTable:
@@ -139,16 +139,14 @@ def _cached_census(args: argparse.Namespace) -> census.CensusTable:
     return table
 
 
-def cmd_census(args: argparse.Namespace) -> int:
+def cmd_census(args: argparse.Namespace) -> Table:
     table = _cached_census(args)
     rows = [
         (str(w.m), str(w.free), str(w.free_rcol), str(w.rcol), str(w.unique_rcol), str(w.pair_sum))
         for w in table.rows
     ]
     header = ("m", "free", "free_rcol", "rcol", "unique_rcol", "pair_sum")
-    meta = _make_meta(None, None, census.shard_count(args.n))
-    _emit(rows, header, args.format, args.out, meta)
-    return 0
+    return header, rows, _make_meta(shards=census.shard_count(args.n))
 
 
 def _parse_grid(spec: str, n: int, r: int) -> List[int]:
@@ -186,7 +184,7 @@ def _chain_config(args: argparse.Namespace, m: int, seed: int) -> sampler.ChainC
     )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Table:
     n, r = args.n, args.r
     grid = _parse_grid(args.m, n, r)
     cap = ex_turan(n, r + 1)
@@ -205,7 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 (str(n), str(r), str(m), "census", _fnum(float(frac)), _fnum(0.0),
                  str(table.rows[m].free), "0")
             )
-        meta = _make_meta(None, None, census.shard_count(n))
+        meta = _make_meta(shards=census.shard_count(n))
     else:
         for idx, m in enumerate(grid):
             cfg = _chain_config(args, m, args.seed + 1000003 * idx)
@@ -216,33 +214,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  _fnum(res.stderr), str(sampler.retained_samples(cfg, args.steps)),
                  caveat)
             )
-        meta = _make_meta(args.seed, _RNG_ID, None)
-    _emit(rows, header, args.format, args.out, meta)
-    return 0
+        meta = _make_meta(args.seed)
+    return header, rows, meta
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> Table:
     cfg = _chain_config(args, args.m, args.seed)
     log: Optional[List[dict]] = [] if args.dump else None
     res = sampler.estimate_rpartite(cfg, args.steps, log=log)
-    meta = _make_meta(args.seed, _RNG_ID, None)
+    meta = _make_meta(args.seed)
     if args.dump:
-        lines = [_stanza_line(meta), "step,is_rcol,triangles,edges_hash"]
-        assert log is not None
-        lines.extend(
-            f"{rec['step']},{rec['is_rcol']},{rec['triangles']},{rec['edges_hash']}"
-            for rec in log
-        )
-        with open(args.dump, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        trace = [tuple(str(rec[c]) for c in TRACE_COLUMNS) for rec in log]
+        _emit(TRACE_COLUMNS, trace, meta, "csv", args.dump)
     rows = [
         ("estimate", _fnum(res.estimate)),
         ("stderr", _fnum(res.stderr)),
         ("samples", str(sampler.retained_samples(cfg, args.steps))),
         ("acceptance_rate", _fnum(res.acceptance_rate)),
     ]
-    _emit(rows, ("quantity", "value"), args.format, args.out, meta)
-    return 0
+    return _QUANTITY, rows, meta
 
 
 def _load_family(path: str) -> bounds.ForbiddenFamily:
@@ -254,44 +244,49 @@ def _load_family(path: str) -> bounds.ForbiddenFamily:
     return bounds.family_from_json(text)
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    sub = args.bound
-    meta = _make_meta(None, None, None)
-    if sub == "janson":
-        fam = _load_family(args.family)
-        md = bounds.mu_delta_exact(fam, args.m)
-        rows = [
-            ("mu", _fnum(md.mu)),
-            ("delta", _fnum(md.delta)),
-            ("janson_upper", _fnum(bounds.janson_upper(md))),
-        ]
-    elif sub == "fkg":
-        fam = _load_family(args.family)
-        rows = [("fkg_lower", _fnum(bounds.fkg_lower(fam, args.m, args.eta)))]
-    elif sub == "exact":
-        fam = _load_family(args.family)
-        prob = bounds.avoidance_probability_exact(fam, args.m)
-        rows = [
-            ("avoidance_exact", f"{prob.numerator}/{prob.denominator}"),
-            ("avoidance_float", _fnum(float(prob))),
-        ]
-    elif sub == "hoeffding":
-        rows = [("hoeffding", _fnum(bounds.hypergeom_hoeffding(args.alpha, args.lam, args.d)))]
-    elif sub == "dsets":
-        try:
-            sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
-        except ValueError:
-            raise DomainError(f"sizes={args.sizes!r}: expected comma-separated integers") from None
-        res = bounds.dsets_tail_bound(args.k, args.alpha, args.lam, sizes, args.d)
-        rows = [("dsets_bound", _fnum(res.bound)), ("tau", _fnum(res.tau))]
-    elif sub == "probe":
-        rows = [("probe", _fnum(bounds.heuristic_threshold_probe(args.n, args.r, args.m)))]
-    elif sub == "pairsum":
-        rows = [("pair_sum", str(census.pair_sum(args.n, args.r, args.m, args.gamma)))]
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"bound={sub!r}: unknown bounds subcommand")
-    _emit(rows, ("quantity", "value"), args.format, args.out, meta)
-    return 0
+# row builders of the bounds group; build_parser binds each to its subparser
+
+
+def bound_janson(args: argparse.Namespace) -> Rows:
+    md = bounds.mu_delta_exact(_load_family(args.family), args.m)
+    return [
+        ("mu", _fnum(md.mu)),
+        ("delta", _fnum(md.delta)),
+        ("janson_upper", _fnum(bounds.janson_upper(md))),
+    ]
+
+
+def bound_fkg(args: argparse.Namespace) -> Rows:
+    return [("fkg_lower", _fnum(bounds.fkg_lower(_load_family(args.family), args.m, args.eta)))]
+
+
+def bound_exact(args: argparse.Namespace) -> Rows:
+    prob = bounds.avoidance_probability_exact(_load_family(args.family), args.m)
+    return [
+        ("avoidance_exact", f"{prob.numerator}/{prob.denominator}"),
+        ("avoidance_float", _fnum(float(prob))),
+    ]
+
+
+def bound_hoeffding(args: argparse.Namespace) -> Rows:
+    return [("hoeffding", _fnum(bounds.hypergeom_hoeffding(args.alpha, args.lam, args.d)))]
+
+
+def bound_dsets(args: argparse.Namespace) -> Rows:
+    try:
+        sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+    except ValueError:
+        raise DomainError(f"sizes={args.sizes!r}: expected comma-separated integers") from None
+    res = bounds.dsets_tail_bound(args.k, args.alpha, args.lam, sizes, args.d)
+    return [("dsets_bound", _fnum(res.bound)), ("tau", _fnum(res.tau))]
+
+
+def bound_probe(args: argparse.Namespace) -> Rows:
+    return [("probe", _fnum(bounds.heuristic_threshold_probe(args.n, args.r, args.m)))]
+
+
+def bound_pairsum(args: argparse.Namespace) -> Rows:
+    return [("pair_sum", str(census.pair_sum(args.n, args.r, args.m, args.gamma)))]
 
 
 # ---------------------------------------------------------------------------
@@ -362,43 +357,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bounds", help="probability bound evaluations")
     bsubs = p.add_subparsers(dest="bound", required=True)
 
-    def bound_parser(name: str, help_text: str) -> argparse.ArgumentParser:
+    def bound_parser(name: str, help_text: str, build,
+                     family: bool = False) -> argparse.ArgumentParser:
         bp = bsubs.add_parser(name, help=help_text)
         _add_output_flags(bp)
-        bp.set_defaults(fn=cmd_bounds)
+        if family:
+            bp.add_argument("--family", required=True, help="family JSON file")
+            bp.add_argument("--m", type=int, required=True)
+        bp.set_defaults(fn=lambda args: (_QUANTITY, build(args), _make_meta()))
         return bp
 
-    bp = bound_parser("janson", "mu, Delta, and the Janson-type upper bound")
-    bp.add_argument("--family", required=True, help="family JSON file")
-    bp.add_argument("--m", type=int, required=True)
-
-    bp = bound_parser("fkg", "correlation lower bound")
-    bp.add_argument("--family", required=True, help="family JSON file")
-    bp.add_argument("--m", type=int, required=True)
+    bound_parser("janson", "mu, Delta, and the Janson-type upper bound", bound_janson,
+                 family=True)
+    bp = bound_parser("fkg", "correlation lower bound", bound_fkg, family=True)
     bp.add_argument("--eta", type=float, required=True)
+    bound_parser("exact", "exact avoidance probability (inclusion-exclusion)", bound_exact,
+                 family=True)
 
-    bp = bound_parser("exact", "exact avoidance probability (inclusion-exclusion)")
-    bp.add_argument("--family", required=True, help="family JSON file")
-    bp.add_argument("--m", type=int, required=True)
-
-    bp = bound_parser("hoeffding", "one-sided hypergeometric Hoeffding bound")
+    bp = bound_parser("hoeffding", "one-sided hypergeometric Hoeffding bound", bound_hoeffding)
     bp.add_argument("--alpha", type=float, required=True)
     bp.add_argument("--lam", type=float, required=True)
     bp.add_argument("--d", type=int, required=True)
 
-    bp = bound_parser("dsets", "random d-subsets tail bound and tau recipe")
+    bp = bound_parser("dsets", "random d-subsets tail bound and tau recipe", bound_dsets)
     bp.add_argument("--k", type=int, required=True)
     bp.add_argument("--alpha", type=float, required=True)
     bp.add_argument("--lam", type=float, required=True)
     bp.add_argument("--d", type=int, required=True)
     bp.add_argument("--sizes", required=True, help="comma-separated class sizes")
 
-    bp = bound_parser("probe", "P*m criticality probe at edge count m")
+    bp = bound_parser("probe", "P*m criticality probe at edge count m", bound_probe)
     bp.add_argument("--n", type=int, required=True)
     bp.add_argument("--r", type=int, required=True)
     bp.add_argument("--m", type=float, required=True)
 
-    bp = bound_parser("pairsum", "partition pair-count sum, optionally gamma-balanced")
+    bp = bound_parser("pairsum", "partition pair-count sum, optionally gamma-balanced",
+                      bound_pairsum)
     bp.add_argument("--n", type=int, required=True)
     bp.add_argument("--r", type=int, required=True)
     bp.add_argument("--m", type=int, required=True)
@@ -411,7 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        header, rows, meta = args.fn(args)
+        _emit(header, rows, meta, args.format, args.out)
+        return 0
     except SizeError as exc:
         print(f"kfree: size guard: {exc}", file=sys.stderr)
         return 3

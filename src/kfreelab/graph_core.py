@@ -4,7 +4,7 @@ Graphs live on vertices 0..n-1 with n <= 32, stored as a single integer
 bitmask over the C(n,2) vertex pairs in canonical order
 (0,1),(0,2),...,(0,n-1),(1,2),...,(n-2,n-1), so neighbor sets fit in one
 machine word and clique tests are bit-parallel.  The text literal format
-"n;u-v,u-v,..." used by tests and the CLI is 1-based; the parser and
+"n;u-v,u-v,..." (parse_graph, graph_literal) is 1-based; the parser and
 formatter convert.
 
 A Partition assigns each vertex a class index in 0..r-1.  Viewing a
@@ -41,7 +41,7 @@ __all__ = [
 
 MAX_VERTICES = 32
 
-_ENUM_GUARD = 10**8  # cap on r**n for exhaustive partition scans
+_ENUM_GUARD = 10**8  # cap on min(r, n)**n for exhaustive partition scans
 
 
 def pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -270,9 +270,11 @@ def enumerate_partitions(n: int, r: int) -> Iterator[Partition]:
         raise DomainError(f"n={n}: need at least one vertex")
     if r < 1:
         raise DomainError(f"r={r}: need at least one class")
-    # 2^n > guard once n reaches its bit length: no r**n of a huge n is built
-    if r > 1 and (n >= _ENUM_GUARD.bit_length() or r**n > _ENUM_GUARD):
-        raise SizeError(f"r^n = {r}^{n} exceeds the enumeration guard {_ENUM_GUARD}")
+    # at most n classes are ever used, so r > n scans as r = n; 2^n > guard
+    # once n reaches its bit length, so no power of a huge n is built
+    k = min(r, n)
+    if k > 1 and (n >= _ENUM_GUARD.bit_length() or k**n > _ENUM_GUARD):
+        raise SizeError(f"min(r, n)^n = {k}^{n} exceeds the enumeration guard {_ENUM_GUARD}")
     a = [0] * n
     mx = [0] * n  # mx[i] = max(a[0..i])
     while True:

@@ -86,6 +86,8 @@ class ChainConfig:
             raise DomainError(f"r={self.r}: need r >= 2")
         if self.m < 0:
             raise DomainError(f"m={self.m}: edge count cannot be negative")
+        if self.seed < 0:
+            raise DomainError(f"seed={self.seed}: cannot be negative")
         cap = ex_turan(self.n, self.r + 1)
         if self.m > cap:
             raise InfeasibleError(
@@ -137,27 +139,23 @@ class ChainState:
 
 def init_chain(cfg: ChainConfig, chain_index: int = 0) -> ChainState:
     """Fresh chain at a uniformly random m-subset of the extremal graph's
-    edges.  chain_index selects one of cfg.chains spawned seed streams."""
+    edges.  chain_index selects one of cfg.chains seed streams: the stream
+    SeedSequence(cfg.seed).spawn(cfg.chains)[chain_index], built directly
+    from its spawn key so that each chain's set-up takes constant time."""
     if not 0 <= chain_index < cfg.chains:
         raise DomainError(
             f"chain_index={chain_index}: must lie in 0..{cfg.chains - 1}"
         )
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
-    rng = np.random.Generator(np.random.Philox(seeds[chain_index]))
-    n = cfg.n
-    pt = pair_table(n)
-    host = turan_graph(n, cfg.r)
+    seed = np.random.SeedSequence(cfg.seed, spawn_key=(chain_index,))
+    rng = np.random.Generator(np.random.Philox(seed))
+    pt = pair_table(cfg.n)
+    host = turan_graph(cfg.n, cfg.r)
     host_slots = [i for i in range(len(pt)) if host.edges >> i & 1]
     chosen = rng.choice(len(host_slots), size=cfg.m, replace=False) if cfg.m else []
     present = sorted(host_slots[int(i)] for i in chosen)
-    present_set = set(present)
-    absent = [i for i in range(len(pt)) if i not in present_set]
-    adj = [0] * n
-    for s in present:
-        u, v = pt[s]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return ChainState(cfg, pt, adj, present, absent, rng)
+    g = LabeledGraph(cfg.n, sum(1 << s for s in present))
+    absent = [i for i in range(len(pt)) if not g.edges >> i & 1]
+    return ChainState(cfg, pt, list(g.adjacency()), present, absent, rng)
 
 
 def run_steps(

@@ -279,6 +279,9 @@ def test_sample_infeasible_m(capsys):
 # -- bounds -------------------------------------------------------------------
 
 
+EMPTY_FAMILY = b'{"ground_size": 0, "sets": []}'
+
+
 @pytest.fixture
 def family_file(tmp_path):
     fam = bounds.ForbiddenFamily(6, ((0, 1), (2, 3)))
@@ -304,6 +307,13 @@ def test_bounds_exact_rational(family_file, capsys):
     assert rc == 0
     assert "13/15" in out
     assert repr(13 / 15) in out
+
+
+def test_bounds_exact_empty_family(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_bytes(EMPTY_FAMILY)
+    rc, out, _ = run(capsys, "bounds", "exact", "--family", str(path), "--m", "0")
+    assert rc == 0 and "1/1" in out
 
 
 def test_bounds_fkg_precondition_exit(family_file, capsys):
@@ -348,11 +358,19 @@ BIG = "1" + "0" * 400  # beyond double range, and beyond any list length
           "--sizes", f"{BIG},{BIG}"), None, f"d={BIG}:"),
         (("sweep", "--n", "6", "--r", BIG), None, f"r={BIG}:"),
         (("bounds", "pairsum", "--n", BIG, "--r", "1", "--m", "3"), None, f"n={BIG}:"),
+        (("bounds", "janson", "--m", "0"), EMPTY_FAMILY, "ground_size=0:"),
+        (("bounds", "fkg", "--m", "0", "--eta", "0.5"), EMPTY_FAMILY, "ground_size=0:"),
+        (("sample", "--n", "6", "--r", "2", "--m", "3", "--steps", "20000", "--seed", "-1"),
+         None, "seed=-1:"),
+        (("sweep", "--n", "6", "--r", "2", "--engine", "sampler", "--steps", "20000",
+          "--seed", "-3"), None, "seed=-3:"),
     ],
     ids=["sizes-token", "slot-string", "ground-size-string", "sets-flat", "non-ascii",
          "ground-size-float", "probe-m-nan", "thresholds-n-huge", "thresholds-r-huge",
          "thresholds-ell-huge", "thresholds-p-r-overflow", "probe-n-huge",
-         "hoeffding-d-huge", "dsets-d-huge", "sweep-r-huge", "pairsum-n-huge"],
+         "hoeffding-d-huge", "dsets-d-huge", "sweep-r-huge", "pairsum-n-huge",
+         "janson-empty-family", "fkg-empty-family", "sample-seed-negative",
+         "sweep-seed-negative"],
 )
 def test_malformed_input_is_domain_error(tmp_path, capsys, argv, family, field):
     if family is not None:

@@ -209,6 +209,8 @@ def test_enumerate_partitions_guard():
     with pytest.raises(SizeError):  # decided without building 2**n
         list(enumerate_partitions(10**400, 2))
     assert len(list(enumerate_partitions(27, 1))) == 1  # 1**n never trips it
+    # r > n uses at most n classes, so it scans like r = n: Bell(8) partitions
+    assert len(list(enumerate_partitions(8, 11))) == 4140
 
 
 def test_cross_plus_within_is_all_pairs():

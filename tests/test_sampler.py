@@ -4,6 +4,7 @@ instance, and agreement with the exact census."""
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kfreelab import sampler
@@ -48,6 +49,25 @@ def test_init_at_extremal_is_the_turan_graph():
     cfg = ChainConfig(n=6, r=2, m=9, seed=5)
     st = init_chain(cfg)
     assert st.current_graph().edges == turan_graph(6, 2).edges
+
+
+@pytest.mark.parametrize("chains,index", [(1, 0), (4, 3), (37, 0), (37, 18), (37, 36)])
+def test_chain_stream_is_the_spawned_seed(chains, index):
+    ref = np.random.SeedSequence(9).spawn(chains)[index]
+    want = np.random.Generator(np.random.Philox(ref)).integers(0, 1 << 62, size=8)
+    st = init_chain(ChainConfig(n=6, r=2, m=0, seed=9, chains=chains), index)
+    assert st.rng.integers(0, 1 << 62, size=8).tolist() == want.tolist()
+
+
+def test_chain_setup_spawns_no_sibling_streams(monkeypatch):
+    # one chain's set-up must not build the seed streams of all cfg.chains
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError(f"spawned {n_children} seed streams for one chain")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    st = init_chain(ChainConfig(n=6, r=2, m=3, seed=9, chains=10**9), 10**9 - 1)
+    assert len(st.present) == 3 and len(st.absent) == 12
 
 
 def test_init_empty():
