@@ -41,7 +41,7 @@ __all__ = [
 
 MAX_VERTICES = 32
 
-_ENUM_GUARD = 10**8  # cap on min(r, n)**n for exhaustive partition scans
+_ENUM_GUARD = 10**8  # cap on min(r, n)**n * max(1, r // n) for partition scans
 
 
 def pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -270,11 +270,11 @@ def enumerate_partitions(n: int, r: int) -> Iterator[Partition]:
         raise DomainError(f"n={n}: need at least one vertex")
     if r < 1:
         raise DomainError(f"r={r}: need at least one class")
-    # at most n classes are ever used, so r > n scans as r = n; 2^n > guard
+    # r > n scans as r = n, but each Partition holds r class sizes; 2^n > guard
     # once n reaches its bit length, so no power of a huge n is built
     k = min(r, n)
-    if k > 1 and (n >= _ENUM_GUARD.bit_length() or k**n > _ENUM_GUARD):
-        raise SizeError(f"min(r, n)^n = {k}^{n} exceeds the enumeration guard {_ENUM_GUARD}")
+    if (k > 1 and n >= _ENUM_GUARD.bit_length()) or k**n * max(1, r // n) > _ENUM_GUARD:
+        raise SizeError(f"n={n}, r={r}: min(r, n)^n * max(1, r // n) exceeds {_ENUM_GUARD}")
     a = [0] * n
     mx = [0] * n  # mx[i] = max(a[0..i])
     while True:

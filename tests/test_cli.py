@@ -140,6 +140,20 @@ def test_census_too_large(capsys):
     assert rc == 3 and "size guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--n", "8", "--r", "100000000"),
+        ("bounds", "pairsum", "--n", "2", "--r", "1000000000", "--m", "1"),
+    ],
+    ids=["census", "pairsum"],
+)
+def test_huge_r_is_size_error(capsys, argv):
+    # each partition holds r class sizes, so a huge r is refused at any n
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == "" and "size guard" in err
+
+
 # -- sweep --------------------------------------------------------------------
 
 

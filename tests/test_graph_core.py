@@ -211,6 +211,13 @@ def test_enumerate_partitions_guard():
     assert len(list(enumerate_partitions(27, 1))) == 1  # 1**n never trips it
     # r > n uses at most n classes, so it scans like r = n: Bell(8) partitions
     assert len(list(enumerate_partitions(8, 11))) == 4140
+    # each partition holds r class sizes, so a huge r trips it at any n
+    with pytest.raises(SizeError):
+        list(enumerate_partitions(2, 10**9))
+    with pytest.raises(SizeError):
+        list(enumerate_partitions(1, 10**9))
+    with pytest.raises(SizeError):
+        list(enumerate_partitions(8, 10**8))
 
 
 def test_cross_plus_within_is_all_pairs():
