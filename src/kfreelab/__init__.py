@@ -27,11 +27,9 @@ from .graph_core import (
     Partition,
     contains_clique,
     enumerate_partitions,
-    graph_literal,
     is_balanced,
     is_r_colorable,
     miscolored_edges,
-    parse_graph,
 )
 from .bounds import (
     DsetsBound,

@@ -614,7 +614,8 @@ def heuristic_threshold_probe(n: int, r: int, m: float) -> float:
     for s in sizes[1:]:
         k_product *= s
     c = math.comb(r + 1, 2)
-    x = math.exp((c - 1) * (math.log(m) - math.log(e_pi)))
+    # clamp at 0 so m far above e(Pi) gives x = 1, not an overflow
+    x = math.exp(min(0.0, (c - 1) * (math.log(m) - math.log(e_pi))))
     if x >= 1:
         return 0.0
     log_p = k_product * math.log1p(-x)

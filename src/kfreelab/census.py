@@ -381,7 +381,8 @@ def load_census(path) -> CensusTable:
             rows.append(CensusRow(*(int(x) for x in fields)))
         except ValueError:
             raise CacheError(f"{path}: non-integer census row {line!r}") from None
-    if [row.m for row in rows] != list(range(nslots + 1)):
+    # the length first: the header's n sizes the range, and may be anything
+    if len(rows) != nslots + 1 or any(row.m != m for m, row in enumerate(rows)):
         raise CacheError(f"{path}: census rows do not cover m=0..{nslots}")
     return CensusTable(n=n, r=r, rows=tuple(rows))
 

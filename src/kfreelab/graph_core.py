@@ -1,11 +1,9 @@
-"""Labeled graphs on a fixed vertex set, cliques, colorings, and partitions.
+"""Labeled graphs on a fixed vertex set, cliques, r-colorability, and partitions.
 
 Graphs live on vertices 0..n-1 with n <= 32, stored as a single integer
 bitmask over the C(n,2) vertex pairs in canonical order
 (0,1),(0,2),...,(0,n-1),(1,2),...,(n-2,n-1), so neighbor sets fit in one
-machine word and clique tests are bit-parallel.  The text literal format
-"n;u-v,u-v,..." (parse_graph, graph_literal) is 1-based; the parser and
-formatter convert.
+machine word and clique tests are bit-parallel.
 
 A Partition assigns each vertex a class index in 0..r-1.  Viewing a
 partition Pi as a complete r-partite graph, e(Pi) counts its cross pairs
@@ -30,8 +28,6 @@ __all__ = [
     "BalanceSpec",
     "pair_index",
     "pair_table",
-    "parse_graph",
-    "graph_literal",
     "contains_clique",
     "is_r_colorable",
     "miscolored_edges",
@@ -121,9 +117,6 @@ class LabeledGraph:
             self._adj = tuple(adj)
         return self._adj
 
-    def degree(self, v: int) -> int:
-        return self.adjacency()[v].bit_count()
-
     # -- dunder plumbing --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -138,43 +131,6 @@ class LabeledGraph:
 
     def __repr__(self) -> str:
         return f"LabeledGraph({self.n}, edges=0x{self.edges:x})"
-
-
-def parse_graph(literal: str) -> LabeledGraph:
-    """Parse the 1-based text literal "n;u-v,u-v,..."; "n;" is the empty graph.
-
-    Rejects self-loops and duplicate edges.
-    """
-    head, sep, body = literal.partition(";")
-    if not sep:
-        raise DomainError(f"graph literal {literal!r}: missing ';' separator")
-    try:
-        n = int(head)
-    except ValueError:
-        raise DomainError(f"graph literal {literal!r}: vertex count {head!r} is not an integer") from None
-    pairs = []
-    body = body.strip()
-    if body:
-        for tok in body.split(","):
-            a, sep2, b = tok.partition("-")
-            if not sep2:
-                raise DomainError(f"graph literal token {tok!r}: expected 'u-v'")
-            try:
-                u, v = int(a), int(b)
-            except ValueError:
-                raise DomainError(f"graph literal token {tok!r}: endpoints must be integers") from None
-            if u == v:
-                raise DomainError(f"graph literal token {tok!r}: self-loop rejected")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"graph literal token {tok!r}: vertex outside 1..{n}")
-            pairs.append((u - 1, v - 1))
-    return LabeledGraph.from_edge_list(n, pairs)
-
-
-def graph_literal(g: LabeledGraph) -> str:
-    """Inverse of parse_graph, edges in canonical slot order, 1-based."""
-    body = ",".join(f"{u + 1}-{v + 1}" for u, v in g.edge_list())
-    return f"{g.n};{body}"
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +171,6 @@ class Partition:
     def cross_pair_count(self) -> int:
         """e(Pi): pairs with endpoints in different classes."""
         return (self.n * self.n - sum(s * s for s in self.class_sizes)) // 2
-
-    def within_pair_count(self) -> int:
-        """e(Pi^c): pairs inside a class; complements cross_pair_count to C(n,2)."""
-        return sum(s * (s - 1) // 2 for s in self.class_sizes)
 
     def cross_edge_mask(self) -> int:
         """Edge bitmask of the complete multipartite graph Pi."""
@@ -329,17 +281,13 @@ def contains_clique(g: LabeledGraph, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bipartition_least(adj: Sequence[int], n: int) -> Optional[int]:
-    # Frontier-bitset BFS 2-coloring; returns the mask of color-1 vertices.
-    # Each component starts at its lowest unseen vertex with color 0 and its
-    # odd layers get color 1, so the color vector is lexicographically least.
+def _bipartite(adj: Sequence[int], n: int) -> bool:
+    # Frontier-bitset BFS from the lowest unseen vertex of each component.
     # BFS layers only have edges within a layer or between adjacent layers,
     # so the graph is bipartite iff no vertex has a neighbor in its own layer.
     unseen = (1 << n) - 1
-    odd = 0
     while unseen:
         frontier = unseen & -unseen
-        parity = 0
         while frontier:
             unseen ^= frontier
             reach = 0
@@ -349,31 +297,17 @@ def _bipartition_least(adj: Sequence[int], n: int) -> Optional[int]:
                 f ^= low
                 nb = adj[low.bit_length() - 1]
                 if nb & frontier:
-                    return None
+                    return False
                 reach |= nb
-            if parity:
-                odd |= frontier
-            parity ^= 1
             frontier = reach & unseen
-    return odd
+    return True
 
 
-def _extendable(adj: Sequence[int], n: int, r: int, color: List[int]) -> bool:
-    # Decision backtracking: can the partial coloring (entries -1 are free)
-    # be completed?  Picks the most saturated undecided vertex first
-    # (greatest-constrained ordering), breaking ties by degree then index.
+def _extendable(adj: Sequence[int], n: int, r: int) -> bool:
+    # Decision backtracking over all n vertices.  Picks the most saturated
+    # undecided vertex first (greatest-constrained ordering), breaking ties
+    # by degree then index.
     forbidden = [0] * n  # bitmask of colors ruled out per vertex
-    undecided = 0
-    for v in range(n):
-        if color[v] == -1:
-            undecided |= 1 << v
-        else:
-            nb = adj[v]
-            bit = 1 << color[v]
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                forbidden[low.bit_length() - 1] |= bit
     full = (1 << r) - 1
     deg = [adj[v].bit_count() for v in range(n)]
 
@@ -416,60 +350,21 @@ def _extendable(adj: Sequence[int], n: int, r: int, color: List[int]) -> bool:
                 forbidden[w] ^= cbit
         return False
 
-    return rec(undecided)
+    return rec((1 << n) - 1)
 
 
 def _colorable(adj: Sequence[int], n: int, r: int) -> bool:
     # Decision-only r-colorability of the graph with neighbor masks adj.
     if r == 2:
-        return _bipartition_least(adj, n) is not None
-    return _extendable(adj, n, r, [-1] * n)
+        return _bipartite(adj, n)
+    return _extendable(adj, n, r)
 
 
-def is_r_colorable(g: LabeledGraph, r: int) -> Optional[Partition]:
-    """A proper r-coloring of g if one exists, else None.
-
-    The witness is canonical: the lexicographically least proper color
-    vector, built by fixing colors vertex by vertex and testing
-    extendability with a backtracking solver.  Deterministic.
-    """
+def is_r_colorable(g: LabeledGraph, r: int) -> bool:
+    """True iff g has a proper coloring with r colors."""
     if r < 1:
         raise DomainError(f"r={r}: need at least one color")
-    n = g.n
-    adj = g.adjacency()
-    if r == 1:
-        return Partition(n, 1, (0,) * n) if g.edges == 0 else None
-    if r == 2:
-        odd = _bipartition_least(adj, n)
-        if odd is None:
-            return None
-        return Partition(n, 2, tuple(odd >> v & 1 for v in range(n)))
-    color = [-1] * n
-    if not _extendable(adj, n, r, color):
-        return None
-    max_used = -1
-    for v in range(n):
-        # lex-least vectors are restricted-growth: no point trying a color
-        # more than one above the highest used so far
-        for c in range(min(max_used + 2, r)):
-            nb = adj[v]
-            conflict = False
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                w = low.bit_length() - 1
-                if color[w] == c:
-                    conflict = True
-                    break
-            if conflict:
-                continue
-            color[v] = c
-            if _extendable(adj, n, r, color):
-                max_used = max(max_used, c)
-                break
-            color[v] = -1
-        assert color[v] != -1, "extendability invariant violated"
-    return Partition(n, r, tuple(color))
+    return _colorable(g.adjacency(), g.n, r)
 
 
 def miscolored_edges(g: LabeledGraph, p: Partition) -> int:

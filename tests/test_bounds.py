@@ -435,6 +435,7 @@ def test_probe_saturated_grid_returns_zero():
     # m at/above the full cross-pair count: nothing left to complete
     assert heuristic_threshold_probe(10, 2, 25) == 0.0
     assert heuristic_threshold_probe(10, 2, 30) == 0.0
+    assert heuristic_threshold_probe(5, 2, 1e155) == 0.0  # exp would overflow
 
 
 def test_probe_validation():

@@ -1,6 +1,7 @@
 """Exact census vs an independent per-graph enumeration oracle, plus
 persistence framing and the partition pair-sum."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from kfreelab import (
     save_census,
 )
 from kfreelab.census import MAX_CENSUS_VERTICES, summary_counts
+from kfreelab.cli import main
 
 
 def oracle_rows(n, r):
@@ -133,7 +135,7 @@ def test_save_load_roundtrip(tmp_path):
     assert path.read_bytes() == raw
 
 
-def test_load_rejects_corruption(tmp_path):
+def test_load_rejects_corruption(tmp_path, capsys):
     t = run_census(4, 2)
     path = tmp_path / "c.txt"
     save_census(t, path)
@@ -151,6 +153,16 @@ def test_load_rejects_corruption(tmp_path):
     path.write_bytes(tampered)
     with pytest.raises(CacheError):
         load_census(path)
+
+    # a header n far beyond the rows, under a valid checksum: rejected from
+    # the row count, before the header's C(n,2)+1 sizes anything
+    payload = raw[: raw.index(b"checksum=")].replace(b" n=4 ", b" n=10000000 ", 1)
+    path = tmp_path / "census_n8_r2.txt"
+    path.write_bytes(payload + b"checksum=%s\n" % hashlib.sha256(payload).hexdigest().encode())
+    with pytest.raises(CacheError, match="do not cover"):
+        load_census(path)
+    assert main(["census", "--n", "8", "--r", "2", "--cache-dir", str(tmp_path)]) == 4
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_pair_sum_micro():

@@ -411,6 +411,9 @@ def test_bounds_scalar_subcommands(capsys):
     want = bounds.heuristic_threshold_probe(10**4, 2, thresholds.m_r(10**4, 2))
     assert repr(want) in out
 
+    rc, out, _ = run(capsys, "bounds", "probe", "--n", "5", "--r", "2", "--m", "1e308")
+    assert rc == 0 and "probe  0.0\n" in out
+
     rc, out, _ = run(capsys, "bounds", "pairsum", "--n", "4", "--r", "2",
                      "--m", "2")
     assert rc == 0 and str(census.pair_sum(4, 2, 2)) in out

@@ -1,14 +1,16 @@
-"""Graph primitives: parsing, cliques, colorability, partitions, and the
-balance band.  Small-n behavior is pinned by exhaustive enumeration."""
+"""Graph primitives: cliques, colorability, partitions, and the balance
+band.  Small-n behavior is pinned by exhaustive enumeration."""
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfreelab import census
 from kfreelab import (
     BalanceSpec,
     DomainError,
@@ -17,46 +19,21 @@ from kfreelab import (
     SizeError,
     contains_clique,
     enumerate_partitions,
-    graph_literal,
     is_balanced,
     is_r_colorable,
     miscolored_edges,
-    parse_graph,
 )
 from kfreelab.graph_core import _colorable
 
-PETERSEN = "10;1-2,2-3,3-4,4-5,5-1,1-6,2-7,3-8,4-9,5-10,6-8,8-10,10-7,7-9,9-6"
+PETERSEN = LabeledGraph.from_edge_list(10, [
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+])
 
 
 def all_graphs(n):
     for mask in range(1 << (n * (n - 1) // 2)):
         yield LabeledGraph(n, mask)
-
-
-# -- literals ---------------------------------------------------------------
-
-
-def test_literal_roundtrip_examples():
-    for lit in ["3;1-2,2-3", "5;1-2,2-3,3-4,4-5,5-1", "4;"]:
-        g = parse_graph(lit)
-        assert parse_graph(graph_literal(g)) == g
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["5", "3;1-1", "3;1-4", "3;0-2", "3;1-2,1-2", "3;a-2", "3;1-2,", ""],
-)
-def test_literal_rejects_malformed(bad):
-    with pytest.raises(DomainError):
-        parse_graph(bad)
-
-
-@given(st.integers(2, 8), st.data())
-def test_literal_roundtrip_random(n, data):
-    nbits = n * (n - 1) // 2
-    mask = data.draw(st.integers(0, (1 << nbits) - 1))
-    g = LabeledGraph(n, mask)
-    assert parse_graph(graph_literal(g)) == g
 
 
 # -- cliques ----------------------------------------------------------------
@@ -66,7 +43,7 @@ def test_contains_clique_fixtures():
     k4 = LabeledGraph.complete(4)
     assert contains_clique(k4, 4) and not contains_clique(k4, 5)
     assert contains_clique(LabeledGraph.complete(5), 5)
-    assert not contains_clique(parse_graph(PETERSEN), 3)
+    assert not contains_clique(PETERSEN, 3)
     assert contains_clique(k4, 0)  # empty clique always present
 
 
@@ -84,52 +61,44 @@ def test_contains_iff_count_positive_exhaustive_n5():
 
 
 def test_c5_colorability():
-    c5 = parse_graph("5;1-2,2-3,3-4,4-5,5-1")
-    assert is_r_colorable(c5, 2) is None
-    w = is_r_colorable(c5, 3)
-    assert w is not None and miscolored_edges(c5, w) == 0
-    assert w.class_of == (0, 1, 0, 1, 2)  # lex-least proper vector
+    c5 = LabeledGraph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert is_r_colorable(c5, 2) is False
+    assert is_r_colorable(c5, 3) is True
 
 
 def test_petersen_three_colorable_not_two():
-    pet = parse_graph(PETERSEN)
-    assert is_r_colorable(pet, 2) is None
-    w = is_r_colorable(pet, 3)
-    assert w is not None and miscolored_edges(pet, w) == 0
-
-
-def test_witness_is_lex_least_exhaustive_n4():
-    # every graph on 4 and on 5 vertices; product() walks the color
-    # vectors in lexicographic order, so the first proper one is the least
-    for n in (4, 5):
-        for g in all_graphs(n):
-            edges = g.edge_list()
-            for r in (2, 3):
-                w = is_r_colorable(g, r)
-                least = next(
-                    (c for c in product(range(r), repeat=n)
-                     if all(c[u] != c[v] for u, v in edges)),
-                    None,
-                )
-                assert (None if w is None else w.class_of) == least
+    assert is_r_colorable(PETERSEN, 2) is False
+    assert is_r_colorable(PETERSEN, 3) is True
 
 
 def test_colorable_iff_min_miscolored_zero_exhaustive_n5():
     for g in all_graphs(5):
-        for r in (2, 3):
+        for r in (1, 2, 3):
             cost = min(
                 miscolored_edges(g, Partition(5, r, c))
                 for c in product(range(r), repeat=5)
             )
-            w = is_r_colorable(g, r)
-            assert (cost == 0) == (w is not None)
-            if w is not None:
-                assert miscolored_edges(g, w) == 0
+            assert is_r_colorable(g, r) is (cost == 0)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_colorable_matches_census_plane_exhaustive_n6(r):
+    # the census reads r-colorability off the partition-cover plane, an
+    # independent route to the same predicate
+    nslots = 15
+    tmp = np.empty((2, census._words(nslots)), dtype=np.uint64)
+    plane = census._partition_planes(
+        census._partition_cross_masks(6, r), nslots, 0, tmp
+    )[0]
+    masks = np.arange(1 << nslots, dtype=np.int64)
+    covered = census._bits(plane, masks)
+    for mask in range(1 << nslots):
+        assert is_r_colorable(LabeledGraph(6, mask), r) == bool(covered[mask])
 
 
 def bfs_bipartition_reference(adj, n):
-    """Per-edge BFS 2-coloring, the reference for the bitset kernel: each
-    component's lowest vertex gets color 0, so the vector is lex-least."""
+    """Per-edge BFS 2-coloring, the reference for the bitset kernel: True
+    iff the graph is bipartite."""
     color = [-1] * n
     for s in range(n):
         if color[s] != -1:
@@ -144,8 +113,8 @@ def bfs_bipartition_reference(adj, n):
                         color[v] = 1 - color[u]
                         queue.append(v)
                     elif color[v] == color[u]:
-                        return None
-    return color
+                        return False
+    return True
 
 
 @st.composite
@@ -175,9 +144,8 @@ def two_coloring_cases(draw):
 @given(two_coloring_cases())
 def test_bipartition_matches_bfs_reference(g):
     ref = bfs_bipartition_reference(g.adjacency(), g.n)
-    assert _colorable(g.adjacency(), g.n, 2) == (ref is not None)
-    w = is_r_colorable(g, 2)
-    assert (None if w is None else list(w.class_of)) == ref
+    assert _colorable(g.adjacency(), g.n, 2) is ref
+    assert is_r_colorable(g, 2) is ref
 
 
 # -- partitions -------------------------------------------------------------
@@ -221,14 +189,16 @@ def test_enumerate_partitions_guard():
 
 
 def test_cross_plus_within_is_all_pairs():
+    k6 = LabeledGraph.complete(6)
     for p in enumerate_partitions(6, 3):
-        assert p.cross_pair_count() + p.within_pair_count() == 15
+        assert p.cross_edge_mask().bit_count() == p.cross_pair_count()
+        assert p.cross_pair_count() + miscolored_edges(k6, p) == 15
 
 
 def test_miscolored_is_within_class_edges():
-    g = parse_graph("4;1-2,1-3,2-3,3-4")
+    g = LabeledGraph.from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     p = Partition(4, 2, (0, 0, 1, 1))
-    assert miscolored_edges(g, p) == 2  # edges 1-2 and 3-4
+    assert miscolored_edges(g, p) == 2  # edges (0,1) and (2,3)
     assert (g.edges & p.cross_edge_mask()).bit_count() == g.edge_count - 2
 
 
@@ -282,9 +252,9 @@ def test_labeled_graph_validation():
 
 
 def test_adjacency_and_degree():
-    g = parse_graph("4;1-2,1-3,1-4")
-    assert g.degree(0) == 3
+    g = LabeledGraph.from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
     assert g.adjacency()[0] == 0b1110
+    assert [a.bit_count() for a in g.adjacency()] == [3, 1, 1, 1]
     assert sorted(g.edge_list()) == [(0, 1), (0, 2), (0, 3)]
 
 
