@@ -37,8 +37,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import chain, combinations, islice, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import DomainError, SizeError
 from .graph_core import LabeledGraph, Partition, pair_table
@@ -67,6 +70,8 @@ Number = Union[float, Fraction]
 
 _IE_TERM_GUARD = 1 << 20
 _ENUM_GUARD = 10**7
+_ENUM_CHUNK_WORDS = 1 << 14  # 128 KiB: the largest array the enumeration builds
+_WORD = (1 << 64) - 1
 
 
 def _is_int(x: object) -> bool:
@@ -223,7 +228,8 @@ def avoidance_probability_exact(fam: ForbiddenFamily, m: int) -> Fraction:
     Inclusion-exclusion over an antichain reduction of the family (equal
     sets deduplicated, supersets of another set dropped — neither changes
     the avoidance event).  Falls back to direct enumeration when the
-    family is too large for IE but C(N,m) is small.
+    family is too large for IE but C(N,m) is small; it tests the subsets in
+    numpy chunks of bounded memory, whatever C(N,m) and N are.
     """
     n = fam.ground_size
     if not 0 <= m <= n:
@@ -251,13 +257,36 @@ def avoidance_probability_exact(fam: ForbiddenFamily, m: int) -> Fraction:
         return Fraction(total - containing, total)
 
     if total <= _ENUM_GUARD:
+        # Walk the m-subsets, or their complements when shorter, `rows` at a
+        # time.  Row i of `out` holds word used[i] (slots 64w..64w+63) of the
+        # slots each subset leaves out; no array outgrows _ENUM_CHUNK_WORDS.
+        split = [{w: x for w in range(b.bit_length() + 63 >> 6) if (x := b >> 64 * w & _WORD)}
+                 for b in antichain]
+        used = sorted(set().union(*split))
+        row = {w: i for i, w in enumerate(used)}
+        sets = [[(row[w], np.uint64(x)) for w, x in parts.items()] for parts in split]
+        cols = min(m, n - m)
+        rows = max(1, _ENUM_CHUNK_WORDS // max(cols, len(used)))
+        subsets = combinations(range(n), cols)
         good = 0
-        for combo in combinations(range(n), m):
-            rmask = 0
-            for i in combo:
-                rmask |= 1 << i
-            if not any(rmask & b == b for b in antichain):
-                good += 1
+        for start in range(0, total, rows):
+            k = min(rows, total - start)
+            slot = np.fromiter(
+                chain.from_iterable(islice(subsets, k)), dtype=np.uint64, count=k * cols
+            ).reshape(k, cols)
+            out = np.zeros((len(used), k), dtype=np.uint64)
+            for col in slot.T:
+                for i, w in enumerate(used):
+                    # slots outside word w wrap to shifts of 64 or more, which give 0
+                    out[i] |= np.uint64(1) << (col - np.uint64(64 * w))
+            if cols == m:
+                np.invert(out, out=out)  # from the slots a subset holds to those it leaves out
+            free = np.full(k, _WORD, dtype=np.uint64)
+            for parts in sets:
+                # nonzero iff the subset leaves out a slot of this set
+                miss = reduce(np.bitwise_or, [out[i] & x for i, x in parts])
+                np.minimum(free, miss, out=free)  # stays nonzero while every set is missed
+            good += int(np.count_nonzero(free))
         return Fraction(good, total)
 
     raise SizeError(

@@ -371,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                  family=True)
     bp = bound_parser("fkg", "correlation lower bound", bound_fkg, family=True)
     bp.add_argument("--eta", type=float, required=True)
-    bound_parser("exact", "exact avoidance probability (inclusion-exclusion)", bound_exact,
-                 family=True)
+    bound_parser("exact", "exact avoidance probability (inclusion-exclusion, or "
+                 "enumeration of the m-subsets past 20 minimal sets)", bound_exact, family=True)
 
     bp = bound_parser("hoeffding", "one-sided hypergeometric Hoeffding bound", bound_hoeffding)
     bp.add_argument("--alpha", type=float, required=True)

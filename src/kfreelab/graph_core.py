@@ -357,7 +357,7 @@ def _colorable(adj: Sequence[int], n: int, r: int) -> bool:
     # Decision-only r-colorability of the graph with neighbor masks adj.
     if r == 2:
         return _bipartite(adj, n)
-    return _extendable(adj, n, r)
+    return _extendable(adj, n, min(r, n))  # n colours always suffice
 
 
 def is_r_colorable(g: LabeledGraph, r: int) -> bool:

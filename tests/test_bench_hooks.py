@@ -8,6 +8,7 @@ layers' spans were recorded.  Nothing under perfbench/ is modified.
 """
 
 import importlib.util
+import itertools
 import os
 import sys
 
@@ -31,6 +32,9 @@ def test_tracer_hooks_record_each_layer(monkeypatch):
         kf.sampler.estimate_rpartite(cfg, 200)
         fam = kf.bounds.ForbiddenFamily(6, ((0, 1), (2, 3)))
         kf.bounds.avoidance_probability_exact(fam, 2)
+        # 21 minimal sets pass inclusion-exclusion's guard: direct enumeration
+        fam = kf.bounds.ForbiddenFamily(8, tuple(itertools.combinations(range(7), 2)))
+        kf.bounds.avoidance_probability_exact(fam, 3)
     finally:
         inst.remove()
     assert {
@@ -39,4 +43,5 @@ def test_tracer_hooks_record_each_layer(monkeypatch):
         "sampler.classify",
         "graph_core.enumerate_partitions",
         "bounds.exact_ie",
+        "bounds.exact_enum",
     } <= set(tracer.names)

@@ -17,6 +17,7 @@ from kfreelab import (
     MuDelta,
     Partition,
     RegularizationParams,
+    SizeError,
     avoidance_probability_exact,
     construct_regularized_hypergraph,
     contains_clique,
@@ -169,6 +170,62 @@ def test_avoidance_matches_brute_force(data):
     fam = ForbiddenFamily(n, sets)
     m = data.draw(st.integers(0, n))
     assert avoidance_probability_exact(fam, m) == brute_avoidance(fam, m)
+
+
+# More than 20 minimal sets exceed inclusion-exclusion's 2^20 term guard, so
+# the families below take the oracle's enumeration of the C(N, m) subsets.
+
+
+def minimal_sets(fam):
+    sets = {frozenset(b) for b in fam.sets}
+    return {b for b in sets if not any(a < b for a in sets)}
+
+
+def wide_family():
+    """70 slots, so two 64-slot words: the 21 pairs in slots 60..66, three
+    triples holding at most one of those slots, plus a duplicate pair and a
+    superset of a pair, which add no minimal set."""
+    sets = list(combinations(range(60, 67), 2))
+    sets += [(0, 65, 69), (5, 67, 68), (10, 20, 69), (61, 60), (60, 61, 62)]
+    return ForbiddenFamily(70, tuple(sets))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 68, 69, 70])
+def test_enumeration_past_64_slots(m):
+    fam = wide_family()
+    assert len(minimal_sets(fam)) == 24
+    assert avoidance_probability_exact(fam, m) == brute_avoidance(fam, m)
+
+
+def test_enumeration_every_set_larger_than_m():
+    fam = ForbiddenFamily(16, tuple(combinations(range(7), 3))[:25])
+    assert len(minimal_sets(fam)) == 25
+    for m in (1, 2):
+        assert avoidance_probability_exact(fam, m) == 1 == brute_avoidance(fam, m)
+    assert avoidance_probability_exact(fam, 3) == brute_avoidance(fam, 3) < 1
+
+
+def test_enumeration_matches_brute_force_on_random_families():
+    rnd = random.Random(1414)
+    for _ in range(12):
+        n = rnd.choice([20, 24, 70])
+        size = rnd.choice([2, 3])
+        target, distinct = rnd.randint(21, 32), set()
+        while len(distinct) < target:
+            distinct.add(tuple(sorted(rnd.sample(range(n), size))))
+        sets = sorted(distinct)
+        # a duplicate and a superset of an existing set change nothing
+        extra = rnd.choice([s for s in range(n) if s not in sets[0]])
+        fam = ForbiddenFamily(n, tuple(sets + [sets[-1], sets[0] + (extra,)]))
+        assert 21 <= len(minimal_sets(fam)) <= 32
+        m = rnd.choice([0, 1, 2, 3, n - 2, n] if n < 64 else [0, 1, 2, n - 1, n])
+        assert avoidance_probability_exact(fam, m) == brute_avoidance(fam, m)
+
+
+def test_enumeration_size_guard():
+    # 24 minimal sets and C(70, 10) > 10^7 subsets: both strategies refuse
+    with pytest.raises(SizeError, match="both exact strategies exceed their guards"):
+        avoidance_probability_exact(wide_family(), 10)
 
 
 # -- sandwich ---------------------------------------------------------------

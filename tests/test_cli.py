@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,6 +154,34 @@ def test_huge_r_is_size_error(capsys, argv):
     # each partition holds r class sizes, so a huge r is refused at any n
     rc, out, err = run(capsys, *argv)
     assert rc == 3 and out == "" and "size guard" in err
+
+
+HUGE_R = "100000000"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("thresholds", "--n", "6", "--r", HUGE_R), 2),
+        (("census", "--n", "6", "--r", HUGE_R), 3),
+        (("sweep", "--n", "6", "--r", HUGE_R), 3),
+        (("sweep", "--n", "6", "--r", HUGE_R, "--engine", "sampler", "--m", "auto",
+          "--steps", "20000", "--seed", "1"), 0),
+        (("sample", "--n", "6", "--r", HUGE_R, "--m", "3", "--steps", "20000", "--seed", "1"), 0),
+        (("bounds", "probe", "--n", "6", "--r", HUGE_R, "--m", "3"), 2),
+        (("bounds", "pairsum", "--n", "6", "--r", HUGE_R, "--m", "3"), 3),
+    ],
+    ids=["thresholds", "census", "sweep-census", "sweep-sampler", "sample", "probe", "pairsum"],
+)
+def test_huge_r_ends_with_a_defined_exit(argv, code):
+    # a child process, so that a hang fails at the timeout instead of
+    # stalling the suite
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "kfreelab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 # -- sweep --------------------------------------------------------------------
@@ -328,6 +358,17 @@ def test_bounds_exact_empty_family(tmp_path, capsys):
     path.write_bytes(EMPTY_FAMILY)
     rc, out, _ = run(capsys, "bounds", "exact", "--family", str(path), "--m", "0")
     assert rc == 0 and "1/1" in out
+
+
+def test_bounds_exact_past_both_guards_is_size_error(tmp_path, capsys):
+    # 21 minimal sets exceed the inclusion-exclusion guard, and C(70, 10)
+    # subsets the enumeration guard
+    path = tmp_path / "wide.json"
+    path.write_text(bounds.family_to_json(
+        bounds.ForbiddenFamily(70, tuple((i, i + 1) for i in range(0, 42, 2)))
+    ))
+    rc, out, err = run(capsys, "bounds", "exact", "--family", str(path), "--m", "10")
+    assert rc == 3 and out == "" and "both exact strategies exceed their guards" in err
 
 
 def test_bounds_fkg_precondition_exit(family_file, capsys):

@@ -96,6 +96,19 @@ def test_colorable_matches_census_plane_exhaustive_n6(r):
         assert is_r_colorable(LabeledGraph(6, mask), r) == bool(covered[mask])
 
 
+def test_huge_r_answers_as_r_equals_n():
+    # n colours always suffice, so any r >= n gives the r = n answer; the
+    # decider must not size its colour masks by a huge r
+    rnd = random.Random(14)
+    for _ in range(60):
+        n = rnd.randint(1, 8)
+        density = rnd.random()
+        g = LabeledGraph.from_edge_list(
+            n, [e for e in combinations(range(n), 2) if rnd.random() < density]
+        )
+        assert is_r_colorable(g, 10**8) == is_r_colorable(g, g.n)
+
+
 def bfs_bipartition_reference(adj, n):
     """Per-edge BFS 2-coloring, the reference for the bitset kernel: True
     iff the graph is bipartite."""
