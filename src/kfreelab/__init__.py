@@ -22,12 +22,10 @@ from .errors import (
     UndefinedFractionError,
 )
 from .graph_core import (
-    BalanceSpec,
     LabeledGraph,
     Partition,
     contains_clique,
     enumerate_partitions,
-    is_balanced,
     is_r_colorable,
     miscolored_edges,
 )

@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import CacheError, DomainError, SizeError, UndefinedFractionError
-from .graph_core import BalanceSpec, enumerate_partitions, is_balanced, pair_index
+from .graph_core import enumerate_partitions, pair_index
 from .turan import ex_turan
 
 __all__ = [
@@ -109,9 +109,12 @@ def _bits(plane: np.ndarray, lanes: np.ndarray) -> np.ndarray:
 
 
 def _clique_edge_masks(n: int, k: int) -> List[int]:
-    """Edge bitmask of every k-clique on vertex subsets of [n]."""
+    """Edge bitmask of every k-clique on vertex subsets of [n]; none when
+    k > n, which combinations would learn only after allocating k slots."""
     from itertools import combinations
 
+    if k > n:
+        return []
     out = []
     for vs in combinations(range(n), k):
         mask = 0
@@ -303,16 +306,29 @@ def fraction_rpartite(table: CensusTable, m: int) -> Fraction:
 
 
 def pair_sum(n: int, r: int, m: int, gamma: Optional[float] = None) -> int:
-    """sum over partitions Pi of [n] into at most r classes of C(e(Pi), m),
-    optionally restricted to the gamma-balanced band; exact big integer."""
+    """sum over partitions Pi of [n] into at most r classes of C(e(Pi), m);
+    exact big integer.  With gamma, only partitions whose r classes all lie
+    in the band (1/r - gamma)n .. (1/r + gamma)n count, compared exactly and
+    endpoints included (n=10, r=2, sizes (4,6), gamma=0.1 is inside).  An
+    empty class is below the band, so for r > n no partition counts."""
     if m < 0:
         raise DomainError(f"m={m}: edge count cannot be negative")
-    spec = BalanceSpec(gamma) if gamma is not None else None
-    total = 0
-    for p in enumerate_partitions(n, r):
-        if spec is None or is_balanced(p, spec):
-            total += math.comb(p.cross_pair_count(), m)
-    return total
+    parts = enumerate_partitions(n, r)
+    if gamma is None:
+        return sum(math.comb(p.cross_pair_count(), m) for p in parts)
+    if not 0 < gamma < 1:
+        raise DomainError(f"gamma={gamma}: need 0 < gamma < 1")
+    if r < 1:
+        raise DomainError(f"r={r}: need at least one class")
+    g, share = Fraction(gamma), Fraction(1, r)
+    if g >= share:
+        raise DomainError(f"gamma={gamma}: need gamma < 1/r = 1/{r}")
+    lo, hi = (share - g) * n, (share + g) * n
+    return sum(
+        math.comb(p.cross_pair_count(), m)
+        for p in parts
+        if p.r == r and all(lo <= s <= hi for s in p.class_sizes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +336,24 @@ def pair_sum(n: int, r: int, m: int, gamma: Optional[float] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def save_census(table: CensusTable, path) -> None:
-    """Versioned line-oriented text file with a trailing SHA-256 checksum.
+def write_atomic(path, data: bytes) -> None:
+    """Write data to a temporary file in path's directory and rename it
+    into place, so a crashed or concurrent writer never leaves a truncated
+    file at path."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
-    Written to a temporary file in the same directory and renamed into
-    place, so a crashed or concurrent writer never leaves a truncated file
-    at path."""
+
+def save_census(table: CensusTable, path) -> None:
+    """Versioned line-oriented text file with a trailing SHA-256 checksum,
+    written with write_atomic."""
     body = f"{CENSUS_FORMAT_VERSION} n={table.n} r={table.r}\n"
     for row in table.rows:
         body += (
@@ -334,16 +362,7 @@ def save_census(table: CensusTable, path) -> None:
         )
     payload = body.encode("ascii")
     digest = hashlib.sha256(payload).hexdigest()
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(f"checksum={digest}\n".encode("ascii"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, payload + f"checksum={digest}\n".encode("ascii"))
 
 
 def load_census(path) -> CensusTable:

@@ -87,8 +87,7 @@ def _emit(
     else:
         raise DomainError(f"format={fmt}: expected text, csv, or json")
     if out:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(payload)
+        census.write_atomic(out, payload.encode("ascii"))
     else:
         sys.stdout.write(payload)
 

@@ -16,7 +16,6 @@ function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, SizeError
@@ -25,19 +24,17 @@ __all__ = [
     "MAX_VERTICES",
     "LabeledGraph",
     "Partition",
-    "BalanceSpec",
     "pair_index",
     "pair_table",
     "contains_clique",
     "is_r_colorable",
     "miscolored_edges",
-    "is_balanced",
     "enumerate_partitions",
 ]
 
 MAX_VERTICES = 32
 
-_ENUM_GUARD = 10**8  # cap on min(r, n)**n * max(1, r // n) for partition scans
+_ENUM_GUARD = 10**8  # cap on min(r, n)**n for partition scans
 
 
 def pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -186,53 +183,29 @@ class Partition:
         return mask
 
 
-@dataclass(frozen=True)
-class BalanceSpec:
-    """Class-size band: every class within (1/r - gamma)n .. (1/r + gamma)n."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.gamma < 1:
-            raise DomainError(f"gamma={self.gamma}: need 0 < gamma < 1")
-
-
-def is_balanced(p: Partition, spec: BalanceSpec) -> bool:
-    """True iff every class size falls inside the band, endpoints included.
-
-    Comparison is exact (the float gamma is converted to a rational), so
-    boundary cases like n=10, r=2, sizes (4,6), gamma=0.1 are inclusive.
-    """
-    gamma = Fraction(spec.gamma)
-    if gamma >= Fraction(1, p.r):
-        raise DomainError(f"gamma={spec.gamma}: need gamma < 1/r = 1/{p.r}")
-    lo = (Fraction(1, p.r) - gamma) * p.n
-    hi = (Fraction(1, p.r) + gamma) * p.n
-    return all(lo <= s <= hi for s in p.class_sizes)
-
-
 def enumerate_partitions(n: int, r: int) -> Iterator[Partition]:
     """Every set-partition of [n] into at most r classes, exactly once.
 
-    Canonical representative: vertex 0 in class 0, and each new class first
-    used in increasing order (restricted-growth strings).  The number of
+    Classes are labeled 0..min(r, n)-1, since n vertices fill at most n
+    classes, and each Partition has r = min(r, n).  Canonical
+    representative: vertex 0 in class 0, and each new class first used in
+    increasing order (restricted-growth strings).  The number of
     partitions yielded equals sum_{k<=r} Stirling2(n, k).
     """
     if n < 1:
         raise DomainError(f"n={n}: need at least one vertex")
     if r < 1:
         raise DomainError(f"r={r}: need at least one class")
-    # r > n scans as r = n, but each Partition holds r class sizes; 2^n > guard
-    # once n reaches its bit length, so no power of a huge n is built
     k = min(r, n)
-    if (k > 1 and n >= _ENUM_GUARD.bit_length()) or k**n * max(1, r // n) > _ENUM_GUARD:
-        raise SizeError(f"n={n}, r={r}: min(r, n)^n * max(1, r // n) exceeds {_ENUM_GUARD}")
+    # 2^n > guard once n reaches its bit length, so no power of a huge n is built
+    if (k > 1 and n >= _ENUM_GUARD.bit_length()) or k**n > _ENUM_GUARD:
+        raise SizeError(f"n={n}, r={r}: min(r, n)^n exceeds {_ENUM_GUARD}")
     a = [0] * n
     mx = [0] * n  # mx[i] = max(a[0..i])
     while True:
-        yield Partition(n, r, tuple(a))
+        yield Partition(n, k, tuple(a))
         i = n - 1
-        while i > 0 and not (a[i] <= mx[i - 1] and a[i] < r - 1):
+        while i > 0 and not (a[i] <= mx[i - 1] and a[i] < k - 1):
             i -= 1
         if i == 0:
             return

@@ -239,6 +239,15 @@ def retained_samples(cfg: ChainConfig, total_steps: int) -> int:
     return cfg.chains * ((per_chain - cfg.burn_in) // cfg.thin)
 
 
+def _check_budget(cfg: ChainConfig, total_steps: int) -> None:
+    # every chain runs the same moves, so none retains a sample or all do
+    if retained_samples(cfg, total_steps) == 0:
+        raise DomainError(
+            f"total_steps={total_steps}, chains={cfg.chains}, burn_in={cfg.burn_in}, "
+            f"thin={cfg.thin}: no chain retains a sample"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _chain_pass(cfg: ChainConfig, per_chain: int, log: Optional[list] = None) -> tuple:
     """Run each of cfg.chains chains per_chain moves.  Per chain: the count
@@ -279,25 +288,16 @@ def estimate_rpartite(
     given, one dict per retained sample is appended (step, is_rcol,
     triangles, edges_hash), chains concatenated in order.
     """
-    if total_steps < 1:
-        raise DomainError(f"total_steps={total_steps}: need at least one move")
+    _check_budget(cfg, total_steps)
     per_chain = total_steps // cfg.chains
-    if per_chain <= cfg.burn_in:
-        raise DomainError(
-            f"burn_in={cfg.burn_in}: each chain only runs {per_chain} moves"
-        )
     if log is None:
         runs = _chain_pass(cfg, per_chain)
     else:
         runs = _chain_pass.__wrapped__(cfg, per_chain, log)
-    chain_means = []
-    for ci, (hist, _, _) in enumerate(runs):
-        retained = sum(hist.values())
-        if retained == 0:
-            raise DomainError(
-                f"thin={cfg.thin}, burn_in={cfg.burn_in}: chain {ci} retained no samples"
-            )
-        chain_means.append(sum(c for (ok, _), c in hist.items() if ok) / retained)
+    chain_means = [
+        sum(c for (ok, _), c in hist.items() if ok) / sum(hist.values())
+        for hist, _, _ in runs
+    ]
     accepted = sum(a for _, a, _ in runs)
     stepped = sum(t for _, _, t in runs)
     estimate = sum(chain_means) / len(chain_means)
@@ -325,15 +325,12 @@ def tv_diagnostic(cfg: ChainConfig, total_steps: int) -> float:
         raise DomainError(
             f"m={cfg.m}: no clique-free graph with that edge count at n={cfg.n}"
         )
+    _check_budget(cfg, total_steps)
     empirical: Dict[Tuple[bool, int], int] = {}
     for hist, _, _ in _chain_pass(cfg, total_steps // cfg.chains):
         for key, count in hist.items():
             empirical[key] = empirical.get(key, 0) + count
     samples = sum(empirical.values())
-    if samples == 0:
-        raise DomainError(
-            f"burn_in={cfg.burn_in}, thin={cfg.thin}: no samples retained"
-        )
     keys = set(empirical) | set(exact_counts)
     return 0.5 * sum(
         abs(empirical.get(k, 0) / samples - exact_counts.get(k, 0) / total_exact)

@@ -2,7 +2,11 @@
 persistence framing and the partition pair-sum."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -303,3 +307,27 @@ def test_summary_counts_against_oracle():
 def test_summary_counts_guard():
     with pytest.raises(SizeError):
         summary_counts(8, 2, 3)
+
+
+def test_huge_r_answers_as_r_equals_n_in_bounded_memory():
+    # every graph on n <= r vertices is K_{r+1}-free and r-colorable, and
+    # neither the partitions nor the clique masks may be sized by r.  A
+    # child process, so that the peak resident set is this work's alone.
+    code = (
+        "import json, resource\n"
+        "from kfreelab import census\n"
+        "rows = [list(w) for w in census.run_census(8, 10**8).rows]\n"
+        "summary = sorted([list(k), c] for k, c in census.summary_counts(6, 10**8, 3).items())\n"
+        "kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([rows, summary, kib]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows, summary, kib = json.loads(done.stdout)
+    for m, row in enumerate(rows):
+        every = math.comb(28, m)  # only K_8 has a unique colouring
+        assert row == [m, every, every, every, int(m == 28), closed_pair_sum(8, 8, m)]
+    assert summary == sorted([list(k), c] for k, c in summary_counts(6, 6, 3).items())
+    assert kib < 200 * 1024

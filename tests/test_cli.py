@@ -12,6 +12,7 @@ import pytest
 
 from kfreelab import bounds, census, sampler, thresholds
 from kfreelab.cli import main
+from test_census import bipartite_by_edges, closed_pair_sum
 
 
 def run(capsys, *argv):
@@ -143,17 +144,23 @@ def test_census_too_large(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, digest",
     [
-        ("census", "--n", "8", "--r", "100000000"),
-        ("bounds", "pairsum", "--n", "2", "--r", "1000000000", "--m", "1"),
+        # the digest of `kfree census --n 8 --r 8 --format csv`
+        (("census", "--n", "8", "--r", "100000000", "--format", "csv"),
+         "6aaa029346fddcc5998f301a75a6b1452db7fe959784239c3a1862287445ff13"),
+        # the digest of `kfree bounds pairsum --n 2 --r 2 --m 1`: pair_sum 1
+        (("bounds", "pairsum", "--n", "2", "--r", "1000000000", "--m", "1"),
+         "fb7fb2a07d2f9b0777257a2331fc251bd273820bc33b7e9cd71e3b8520fdca95"),
     ],
     ids=["census", "pairsum"],
 )
-def test_huge_r_is_size_error(capsys, argv):
-    # each partition holds r class sizes, so a huge r is refused at any n
+def test_huge_r_answers_as_r_equals_n(capsys, argv, digest):
+    # a partition of [n] has at most n classes and K_{r+1} needs r+1
+    # vertices, so every r >= n answers as r = n
     rc, out, err = run(capsys, *argv)
-    assert rc == 3 and out == "" and "size guard" in err
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 HUGE_R = "100000000"
@@ -163,13 +170,13 @@ HUGE_R = "100000000"
     "argv, code",
     [
         (("thresholds", "--n", "6", "--r", HUGE_R), 2),
-        (("census", "--n", "6", "--r", HUGE_R), 3),
-        (("sweep", "--n", "6", "--r", HUGE_R), 3),
+        (("census", "--n", "6", "--r", HUGE_R), 0),
+        (("sweep", "--n", "6", "--r", HUGE_R), 0),
         (("sweep", "--n", "6", "--r", HUGE_R, "--engine", "sampler", "--m", "auto",
           "--steps", "20000", "--seed", "1"), 0),
         (("sample", "--n", "6", "--r", HUGE_R, "--m", "3", "--steps", "20000", "--seed", "1"), 0),
         (("bounds", "probe", "--n", "6", "--r", HUGE_R, "--m", "3"), 2),
-        (("bounds", "pairsum", "--n", "6", "--r", HUGE_R, "--m", "3"), 3),
+        (("bounds", "pairsum", "--n", "6", "--r", HUGE_R, "--m", "3"), 0),
     ],
     ids=["thresholds", "census", "sweep-census", "sweep-sampler", "sample", "probe", "pairsum"],
 )
@@ -297,6 +304,15 @@ def test_census_n8_artifacts_are_pinned(capsys, r):
     rc, out, _ = run(capsys, "census", "--n", "8", "--r", r, "--format", "csv")
     assert rc == 0
     assert _sha256(out.encode()) == _GOLDEN_CENSUS_N8[r]
+    # independent of the engine: the closed forms of tests/test_census.py
+    header, rows = csv_rows(out)
+    bipartite = bipartite_by_edges(8)[8]
+    for row in rows:
+        w = dict(zip(header, map(int, row)))
+        assert w["pair_sum"] == closed_pair_sum(8, int(r), w["m"]), f"m={w['m']}"
+        if r == "2":
+            want = bipartite[w["m"]] if w["m"] < len(bipartite) else 0
+            assert w["rcol"] == w["free_rcol"] == want, f"m={w['m']}"
 
 
 @pytest.mark.parametrize("n,r,m", sorted(_GOLDEN_SAMPLE))
@@ -476,6 +492,31 @@ def test_out_file_suppresses_stdout(tmp_path, capsys):
                      "--format", "csv", "--out", str(dest))
     assert rc == 0 and out == ""
     assert "theta" in dest.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thresholds", "--n", "1000", "--r", "2", "--out"),
+        ("sample", "--n", "5", "--r", "2", "--m", "3", "--steps", "8000", "--seed", "1",
+         "--dump"),
+    ],
+    ids=["out", "dump"],
+)
+def test_failed_write_leaves_the_old_file(tmp_path, capsys, monkeypatch, argv):
+    # the artifact goes to a temporary file renamed into place, so a failed
+    # rename leaves the old bytes and no temporary file behind
+    dest = tmp_path / "f"
+    dest.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc, _, err = run(capsys, *argv, str(dest))
+    assert rc == 4 and "rename refused" in err
+    assert dest.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["f"]
 
 
 def test_unwritable_out_is_io_error(tmp_path, capsys):

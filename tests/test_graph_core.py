@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from kfreelab import census
 from kfreelab import (
-    BalanceSpec,
     DomainError,
     LabeledGraph,
     Partition,
     SizeError,
     contains_clique,
     enumerate_partitions,
-    is_balanced,
     is_r_colorable,
     miscolored_edges,
+    pair_sum,
 )
 from kfreelab.graph_core import _colorable
 
@@ -192,13 +191,10 @@ def test_enumerate_partitions_guard():
     assert len(list(enumerate_partitions(27, 1))) == 1  # 1**n never trips it
     # r > n uses at most n classes, so it scans like r = n: Bell(8) partitions
     assert len(list(enumerate_partitions(8, 11))) == 4140
-    # each partition holds r class sizes, so a huge r trips it at any n
-    with pytest.raises(SizeError):
-        list(enumerate_partitions(2, 10**9))
-    with pytest.raises(SizeError):
-        list(enumerate_partitions(1, 10**9))
-    with pytest.raises(SizeError):
-        list(enumerate_partitions(8, 10**8))
+    # and labels at most n of them, so a huge r is no larger a scan
+    for n, r, bell in [(2, 10**9, 2), (1, 10**9, 1), (8, 10**8, 4140)]:
+        parts = list(enumerate_partitions(n, r))
+        assert len(parts) == bell and {p.r for p in parts} == {n}
 
 
 def test_cross_plus_within_is_all_pairs():
@@ -219,18 +215,22 @@ def test_miscolored_is_within_class_edges():
 
 
 def test_balance_band_is_inclusive():
-    spec = BalanceSpec(0.1)
-    p46 = Partition(10, 2, tuple([0] * 4 + [1] * 6))
-    p37 = Partition(10, 2, tuple([0] * 3 + [1] * 7))
-    assert is_balanced(p46, spec)
-    assert not is_balanced(p37, spec)
+    # n=10, r=2, gamma=0.1: the band is 4..6, so the C(10,4) = 210 splits
+    # (4,6) and the C(10,5)/2 = 126 splits (5,5) count and (3,7) does not
+    assert pair_sum(10, 2, 0, 0.1) == 210 + 126
+    # five classes on four vertices leave one empty, below the band
+    assert pair_sum(4, 5, 0, 0.1) == 0
 
 
 def test_balance_rejects_gamma_at_least_one_over_r():
     with pytest.raises(DomainError, match="gamma"):
-        is_balanced(Partition(4, 2, (0, 0, 1, 1)), BalanceSpec(0.5))
-    with pytest.raises(DomainError):
-        BalanceSpec(1.0)
+        pair_sum(4, 2, 0, 0.5)
+    with pytest.raises(DomainError, match="gamma"):
+        pair_sum(4, 2, 0, 1.0)
+    with pytest.raises(DomainError, match="gamma"):
+        pair_sum(8, 47, 0, 0.1)  # 0.1 >= 1/47, although r > n
+    with pytest.raises(DomainError, match="r=0"):
+        pair_sum(4, 0, 0, 0.1)  # not a division by zero
 
 
 @pytest.mark.parametrize("r,gamma", [(2, 0.05), (2, 0.1), (3, 0.05), (3, 0.1)])

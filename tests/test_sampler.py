@@ -246,6 +246,28 @@ def test_estimate_budget_errors():
     assert retained_samples(cfg2, 1000) == 2 * (500 // 7)
 
 
+@pytest.mark.parametrize(
+    "cfg, total_steps",
+    [
+        # each chain runs 2_000_000 moves, all of them burn-in
+        (ChainConfig(n=6, r=2, m=7, seed=1, burn_in=2_000_000, thin=10, chains=4), 8_000_000),
+        # each runs 9 moves past burn-in, short of the first retained one
+        (ChainConfig(n=6, r=2, m=7, seed=1, burn_in=1000, thin=10, chains=4), 4036),
+        (ChainConfig(n=6, r=2, m=7, seed=1, chains=2), 1),
+    ],
+)
+def test_budget_without_samples_runs_no_chain(monkeypatch, cfg, total_steps):
+    assert retained_samples(cfg, total_steps) == 0
+    calls = []
+    monkeypatch.setattr(sampler, "run_steps", lambda *a, **k: calls.append(a))
+    for fn in (estimate_rpartite, tv_diagnostic):
+        with pytest.raises(DomainError) as err:
+            fn(cfg, total_steps)
+        for field in ("total_steps", "chains", "burn_in", "thin"):
+            assert field in str(err.value)
+    assert calls == []
+
+
 def test_estimate_log_records():
     log = []
     cfg = ChainConfig(n=5, r=2, m=4, seed=2, burn_in=50, thin=25, chains=2)
