@@ -305,30 +305,50 @@ def fraction_rpartite(table: CensusTable, m: int) -> Fraction:
     return Fraction(row.free_rcol, row.free)
 
 
+# units of about 1 ns on one x86 core: b**1.5 per b-bit product or binomial
+_PAIR_SUM_BUDGET = 2 * 10**9
+
+
 def pair_sum(n: int, r: int, m: int, gamma: Optional[float] = None) -> int:
-    """sum over partitions Pi of [n] into at most r classes of C(e(Pi), m);
-    exact big integer.  With gamma, only partitions whose r classes all lie
-    in the band (1/r - gamma)n .. (1/r + gamma)n count, compared exactly and
-    endpoints included (n=10, r=2, sizes (4,6), gamma=0.1 is inside).  An
-    empty class is below the band, so for r > n no partition counts."""
-    if m < 0:
-        raise DomainError(f"m={m}: edge count cannot be negative")
-    parts = enumerate_partitions(n, r)
-    if gamma is None:
-        return sum(math.comb(p.cross_pair_count(), m) for p in parts)
-    if not 0 < gamma < 1:
-        raise DomainError(f"gamma={gamma}: need 0 < gamma < 1")
-    if r < 1:
-        raise DomainError(f"r={r}: need at least one class")
-    g, share = Fraction(gamma), Fraction(1, r)
-    if g >= share:
-        raise DomainError(f"gamma={gamma}: need gamma < 1/r = 1/{r}")
-    lo, hi = (share - g) * n, (share + g) * n
-    return sum(
-        math.comb(p.cross_pair_count(), m)
-        for p in parts
-        if p.r == r and all(lo <= s <= hi for s in p.class_sizes)
-    )
+    """sum over partitions Pi of [n] into at most r classes of C(e(Pi), m),
+    exact: over size profiles a_1 >= ... >= a_k of n, k <= min(r, n), the sum
+    of n!/(prod a_i! prod mult!) * C(C(n,2) - sum C(a_i,2), m), one binomial
+    per distinct e(Pi).  gamma keeps profiles of exactly r parts in the band
+    (1/r - gamma)n .. (1/r + gamma)n, ends included.  SizeError before any big
+    binomial when the work passes _PAIR_SUM_BUDGET (n=200, r=4, m=10000; n=2000
+    at r >= 2); n=16, r=4 and n=40, r=2 now answer.  n past float: OverflowError."""
+    if m < 0 or n < 1 or r < 1:
+        raise DomainError(f"n={n}, r={r}, m={m}: need n >= 1, r >= 1 and m >= 0")
+    if gamma is not None:
+        if not 0 < gamma < 1 or Fraction(gamma) >= Fraction(1, r):
+            raise DomainError(f"gamma={gamma}: need 0 < gamma < 1/r = 1/{r}")
+        lo, hi = (Fraction(1, r) - Fraction(gamma)) * n, (Fraction(1, r) + Fraction(gamma)) * n
+    k = min(r, n)
+    if k > 1 and n * n // 2 > _PAIR_SUM_BUDGET:  # n // 2 + 1 profiles of n-bit weights
+        raise SizeError(f"n={n}, r={r}, m={m}: over the pair-sum work budget")
+    top = ex_turan(n, k + 1)  # the most cross pairs of any profile
+    lg = math.lgamma(top + 1) - math.lgamma(m + 1) - math.lgamma(top - m + 1) if top >= m else 0
+    per_binomial = (lg / math.log(2)) ** 1.5  # one per distinct e(Pi) >= m
+    per_profile = 5000 + (n * math.log2(k)) ** 1.5  # a visit, and <= n log2 k weight bits
+    count = [1] * (n + 1 if k > 1 else 1)  # partitions of j into parts <= i; grows with i
+    for i in range(2, k + 1):
+        for j in range(i, n + 1):
+            count[j] += count[j - i]
+        if count[n] * per_profile + min(count[n], top - m + 1) * per_binomial > _PAIR_SUM_BUDGET:
+            raise SizeError(f"n={n}, r={r}, m={m}: over the pair-sum work budget")
+    by_cross: Counter = Counter()
+
+    def walk(rest, most, largest, copies, sizes, ways):
+        if rest == 0 and (gamma is None or len(sizes) == r and lo <= sizes[-1] <= sizes[0] <= hi):
+            by_cross[n * (n - 1) // 2 - sum(a * (a - 1) // 2 for a in sizes)] += ways
+        for a in range(min(rest, largest), 0, -1):
+            if a * most < rest:  # at most `most` parts of size <= a
+                break
+            c = copies + 1 if a == largest else 1  # copies of a: ways counts set partitions
+            walk(rest - a, most - 1, a, c, sizes + (a,), ways * math.comb(rest, a) // c)
+
+    walk(n, k, n, 0, (), 1)
+    return sum(ways * math.comb(e, m) for e, ways in by_cross.items())
 
 
 # ---------------------------------------------------------------------------

@@ -158,17 +158,6 @@ class Partition:
             sizes[c] += 1
         object.__setattr__(self, "class_sizes", tuple(sizes))
 
-    def class_mask(self, c: int) -> int:
-        mask = 0
-        for v, cv in enumerate(self.class_of):
-            if cv == c:
-                mask |= 1 << v
-        return mask
-
-    def cross_pair_count(self) -> int:
-        """e(Pi): pairs with endpoints in different classes."""
-        return (self.n * self.n - sum(s * s for s in self.class_sizes)) // 2
-
     def cross_edge_mask(self) -> int:
         """Edge bitmask of the complete multipartite graph Pi."""
         mask = 0
@@ -344,13 +333,4 @@ def miscolored_edges(g: LabeledGraph, p: Partition) -> int:
     """Number of edges of g with both endpoints in one class of p."""
     if p.n != g.n:
         raise DomainError(f"partition is over n={p.n} vertices, graph has n={g.n}")
-    adj = g.adjacency()
-    total = 0
-    for c in range(p.r):
-        mask = p.class_mask(c)
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            total += (adj[low.bit_length() - 1] & mask).bit_count()
-    return total // 2
+    return (g.edges & ~p.cross_edge_mask()).bit_count()

@@ -6,12 +6,12 @@ vertex pair uniformly at random and swaps them; the proposal is accepted
 iff the swapped graph is still clique-free.  The proposal kernel is
 symmetric and acceptance is a 0/1 symmetric constraint, so the chain is
 reversible and its stationary distribution is uniform on each connected
-component of the swap graph.  Whether the swap graph is connected for
-every feasible (n, r, m) is an open question — near m = ex it can
-demonstrably fall apart (at n=4, r=2, m=4 the three labelings of C_4 are
-pairwise isolated) — so estimates are a practical compromise, mitigated
-by running several chains from independently randomized starts and by
-the tv_diagnostic at sizes where the exact law is available.
+component of the swap graph, which can split even below 0.9 ex.  At n <= 7
+it splits at (n, m) = (4,4), (5,6), (6,8), (6,9), (7,10), (7,11), (7,12)
+for r=2 and (6,12), (7,16) for r=3, and nowhere else.  tv_diagnostic does
+not see it: at n=6, m=8 four chains visit 9 of 105 states, none of the 15
+K_{2,4} labelings, and their summary-law TV still passes.  Randomized
+starts soften this; they do not make the estimate uniform.
 
 Chains start from a uniformly random m-subset of the edges of the
 r-partite extremal (complete multipartite) graph, which is clique-free by

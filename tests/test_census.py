@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from kfreelab import (
@@ -34,7 +36,10 @@ from kfreelab.cli import main
 
 def oracle_rows(n, r):
     """Slow route: classify every graph one at a time with the public
-    graph predicates.  Deliberately shares no code with the census."""
+    graph predicates.  It shares no code with the census planes; its cover
+    test reads the same Partition.cross_edge_mask, which
+    test_colorable_iff_min_miscolored_zero_exhaustive_n5 checks against the
+    colouring decider."""
     nbits = n * (n - 1) // 2
     parts = list(enumerate_partitions(n, r))
     rows = [[0, 0, 0, 0, 0] for _ in range(nbits + 1)]
@@ -49,7 +54,7 @@ def oracle_rows(n, r):
         row[2] += ncol > 0
         row[3] += ncol == 1
     for m in range(nbits + 1):
-        rows[m][4] = sum(math.comb(p.cross_pair_count(), m) for p in parts)
+        rows[m][4] = sum(math.comb(p.cross_edge_mask().bit_count(), m) for p in parts)
     return rows
 
 
@@ -123,6 +128,39 @@ def bipartite_by_edges(n_max):
         assert all(c % 2 == 0 for c in twice)
         b.append([c // 2 for c in twice])
     return b
+
+
+def free_by_vertex_extension(n, r):
+    """free[m], the K_{r+1}-free graphs on n vertices with m edges.  G + v is
+    K_{r+1}-free iff G is and the neighbourhood S of v spans no K_r, so each
+    pair (G, S) over the graphs G on n - 1 vertices counts at m = e(G) + |S|.
+    Cliques are tested on every mask of G at once with numpy; no census
+    plane and no enumerate_partitions."""
+    k = n - 1
+    masks = np.arange(1 << (k * (k - 1) // 2), dtype=np.int64)
+    spans = {}  # vertex set -> does each G hold every pair inside it
+
+    def spanned(vs):
+        if vs not in spans:
+            t = sum(1 << (u * (2 * k - u - 1) // 2 + (v - u - 1)) for u, v in combinations(vs, 2))
+            spans[vs] = (masks & t) == t
+        return spans[vs]
+
+    free_g = ~np.logical_or.reduce([spanned(vs) for vs in combinations(range(k), r + 1)])
+    edges = np.bitwise_count(masks).astype(np.int64)
+    free = np.zeros(n * (n - 1) // 2 + 1, dtype=np.int64)
+    for s in range(1 << k):
+        inside = [v for v in range(k) if s >> v & 1]
+        hit = [spanned(vs) for vs in combinations(inside, r)]
+        ok = free_g & ~np.logical_or.reduce(hit) if hit else free_g
+        free += np.bincount(edges[ok] + len(inside), minlength=free.size)
+    return free
+
+
+@pytest.mark.parametrize("n,r", [(6, 2), (6, 3), (7, 2), (7, 3)])
+def test_free_column_matches_vertex_extension(n, r):
+    free = free_by_vertex_extension(n, r)
+    assert [row.free for row in run_census(n, r).rows] == free.tolist()
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in (6, 7) for r in (2, 3, 4)])
@@ -243,6 +281,52 @@ def test_pair_sum_micro():
         pair_sum(3, 2, -1)
 
 
+def reference_cross_counts(n, r, gamma=None):
+    """The walk over set partitions: enumerate_partitions and the popcount
+    of each partition's cross-pair mask, with the band applied class by
+    class (an empty class is below it)."""
+    parts = enumerate_partitions(n, r)
+    if gamma is not None:
+        lo, hi = (Fraction(1, r) - Fraction(gamma)) * n, (Fraction(1, r) + Fraction(gamma)) * n
+        parts = [p for p in parts if p.r == r and all(lo <= s <= hi for s in p.class_sizes)]
+    return [p.cross_edge_mask().bit_count() for p in parts]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pair_sum_matches_set_partition_walk(n):
+    for r in range(1, n + 2):
+        for gamma in (None, 0.05, 0.1, 0.2, 0.25):  # 0.25 puts band ends on integers
+            if gamma is not None and Fraction(gamma) >= Fraction(1, r):
+                with pytest.raises(DomainError, match="gamma"):
+                    pair_sum(n, r, 0, gamma)
+                continue
+            cross = reference_cross_counts(n, r, gamma)
+            for m in range(n * (n - 1) // 2 + 2):
+                want = sum(math.comb(e, m) for e in cross)
+                assert pair_sum(n, r, m, gamma) == want, (n, r, m, gamma)
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_pair_sum_r2_matches_bipartition_closed_form(n):
+    # past the walk's reach: a partition into at most two classes is {A, [n] - A},
+    # C(n, a) of them with |A| = a < n/2, half as many at a = n/2
+    for m in range(n * n // 4 + 2):
+        want = sum(
+            math.comb(n, a) // (2 if 2 * a == n else 1) * math.comb(a * (n - a), m)
+            for a in range(n // 2 + 1)
+        )
+        assert pair_sum(n, 2, m) == want, f"m={m}"
+
+
+def test_pair_sum_work_guard():
+    # the profile walk and its binomials are costed before any big integer
+    with pytest.raises(SizeError, match="work budget"):
+        pair_sum(200, 4, 10000)
+    with pytest.raises(SizeError, match="work budget"):
+        pair_sum(2000, 10**8, 3)  # refused before the walk could recurse 2000 deep
+    assert pair_sum(10**300, 1, 0) == 1  # one profile, however large n
+
+
 def test_pair_sum_dominates_colorable_count():
     t = run_census(5, 2)
     for m in range(11):
@@ -259,7 +343,7 @@ def test_pair_sum_gamma_filter():
         for p in enumerate_partitions(6, 2)
         if tuple(sorted(p.class_sizes)) == (3, 3)
     ]
-    assert tight == sum(p.cross_pair_count() for p in balanced)
+    assert tight == sum(p.cross_edge_mask().bit_count() for p in balanced)
     assert tight < full
 
 

@@ -177,8 +177,12 @@ HUGE_R = "100000000"
         (("sample", "--n", "6", "--r", HUGE_R, "--m", "3", "--steps", "20000", "--seed", "1"), 0),
         (("bounds", "probe", "--n", "6", "--r", HUGE_R, "--m", "3"), 2),
         (("bounds", "pairsum", "--n", "6", "--r", HUGE_R, "--m", "3"), 0),
+        # over the pair-sum work budget, refused before a 2000-deep profile walk
+        (("bounds", "pairsum", "--n", "2000", "--r", HUGE_R, "--m", "3"), 3),
+        (("bounds", "pairsum", "--n", "16", "--r", "4", "--m", "30"), 0),
     ],
-    ids=["thresholds", "census", "sweep-census", "sweep-sampler", "sample", "probe", "pairsum"],
+    ids=["thresholds", "census", "sweep-census", "sweep-sampler", "sample", "probe", "pairsum",
+         "pairsum-n2000", "pairsum-n16-r4"],
 )
 def test_huge_r_ends_with_a_defined_exit(argv, code):
     # a child process, so that a hang fails at the timeout instead of

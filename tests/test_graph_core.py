@@ -200,8 +200,9 @@ def test_enumerate_partitions_guard():
 def test_cross_plus_within_is_all_pairs():
     k6 = LabeledGraph.complete(6)
     for p in enumerate_partitions(6, 3):
-        assert p.cross_edge_mask().bit_count() == p.cross_pair_count()
-        assert p.cross_pair_count() + miscolored_edges(k6, p) == 15
+        cross = p.cross_edge_mask().bit_count()
+        assert cross == (36 - sum(s * s for s in p.class_sizes)) // 2
+        assert cross + miscolored_edges(k6, p) == 15
 
 
 def test_miscolored_is_within_class_edges():
