@@ -49,11 +49,14 @@ from .bounds import (
 )
 from .sampler import (
     ChainConfig,
+    ChainRecord,
     ChainState,
     EstimateResult,
+    estimate_from,
     estimate_rpartite,
     init_chain,
     retained_samples,
+    run_chains,
     run_steps,
     tv_diagnostic,
 )

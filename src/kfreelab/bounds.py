@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .graph_core import LabeledGraph, Partition, pair_table
-from .turan import balanced_sizes, ex_turan
+from .turan import ex_turan
 
 __all__ = [
     "ForbiddenFamily",
@@ -70,6 +70,9 @@ Number = Union[float, Fraction]
 
 _IE_TERM_GUARD = 1 << 20
 _ENUM_GUARD = 10**7
+# math.comb(n, k) of b bits took (b**1.6 + 2*k*k) * 3e-11 s within 0.5-1.3x from 5e4
+# to 1.3e7 bits (Python 3.11, 2-core x86 host): the exact oracle's budget is ~3 s
+_BINOMIAL_WORK_BUDGET = 10**11
 _ENUM_CHUNK_WORDS = 1 << 14  # 128 KiB: the largest array the enumeration builds
 _WORD = (1 << 64) - 1
 
@@ -229,31 +232,45 @@ def avoidance_probability_exact(fam: ForbiddenFamily, m: int) -> Fraction:
     sets deduplicated, supersets of another set dropped — neither changes
     the avoidance event).  Falls back to direct enumeration when the
     family is too large for IE but C(N,m) is small; it tests the subsets in
-    numpy chunks of bounded memory, whatever C(N,m) and N are.
+    numpy chunks of bounded memory, whatever C(N,m) and N are.  SizeError,
+    before any binomial is built, when they would pass _BINOMIAL_WORK_BUDGET.
     """
     n = fam.ground_size
     if not 0 <= m <= n:
         raise DomainError(f"m={m}: must lie in 0..{n} (ground_size)")
-    total = math.comb(n, m)
     masks = sorted(set(fam.masks()), key=lambda x: x.bit_count())
     antichain: List[int] = []
     for mk in masks:
         if not any(mk & a == a for a in antichain):
             antichain.append(mk)
     f = len(antichain)
-
+    terms: List[Tuple[int, int]] = []
     if 1 << f <= _IE_TERM_GUARD:
+        # C(n - u, m - u) depends on u = |union of S| alone, so IE needs one
+        # binomial per u: coef[u] sums (-1)^(|S|+1) over the nonempty S
+        coef = [0] * (min(m, reduce(int.__or__, antichain, 0).bit_count()) + 1)
 
-        def rec(i: int, union: int, sign: int) -> int:
-            u = union.bit_count()
-            if u > m:
-                return 0  # every deeper union is even larger
-            if i == f:
-                # sign = (-1)^|S|; the S = {} term belongs to neither side
-                return -sign * math.comb(n - u, m - u) if union else 0
-            return rec(i + 1, union, sign) + rec(i + 1, union | antichain[i], -sign)
+        def walk(start: int, union: int, sign: int) -> None:
+            # S = the sets behind union, each extended by one later set j
+            for j in range(start, f):
+                v = union | antichain[j]
+                u = v.bit_count()
+                if u <= m:  # else every superset's union is even larger
+                    coef[u] += sign
+                    walk(j + 1, v, -sign)
 
-        containing = rec(0, 0, 1)
+        walk(0, 0, 1)
+        terms = [(u, c) for u, c in enumerate(coef) if c]
+    # log2 C(n, m), the largest binomial, before any is built (past 2^52,
+    # lgamma(n + 1) cancels away, and C(n, k) <= n^k / k! is tight for k << n)
+    k = min(m, n - m)
+    ln_c = math.lgamma(n + 1) - math.lgamma(n - k + 1) if n < 1 << 52 else k * math.log(n)
+    bits = max(0.0, ln_c - math.lgamma(k + 1)) / math.log(2)
+    if (1 + len(terms)) * (bits**1.6 + 2.0 * k * k) > _BINOMIAL_WORK_BUDGET:
+        raise SizeError(f"C({n},{m}) of about {bits:.0f} bits: over the exact oracle's budget")
+    total = math.comb(n, m)
+    if 1 << f <= _IE_TERM_GUARD:
+        containing = sum(c * math.comb(n - u, m - u) for u, c in terms)
         return Fraction(total - containing, total)
 
     if total <= _ENUM_GUARD:
@@ -290,7 +307,7 @@ def avoidance_probability_exact(fam: ForbiddenFamily, m: int) -> Fraction:
         return Fraction(good, total)
 
     raise SizeError(
-        f"family of {f} minimal sets with C({n},{m}) = {total} subsets: "
+        f"family of {f} minimal sets with C({n},{m}) > {_ENUM_GUARD} subsets: "
         f"both exact strategies exceed their guards"
     )
 
@@ -637,17 +654,17 @@ def heuristic_threshold_probe(n: int, r: int, m: float) -> float:
         raise DomainError(f"n={n}: need at least r={r} vertices")
     if not m > 0:  # also rejects nan
         raise DomainError(f"m={m}: the probe needs a positive edge count")
-    sizes = balanced_sizes(n, r)  # descending: larger classes first
     e_pi = ex_turan(n, r + 1)
-    k_product = 1
-    for s in sizes[1:]:
-        k_product *= s
     c = math.comb(r + 1, 2)
     # clamp at 0 so m far above e(Pi) gives x = 1, not an overflow
     x = math.exp(min(0.0, (c - 1) * (math.log(m) - math.log(e_pi))))
     if x >= 1:
         return 0.0
-    log_p = k_product * math.log1p(-x)
+    q, rem = divmod(n, r)  # K = (q+1)^a * q^b: the balanced classes but a largest one
+    a, b = (rem - 1, r - rem) if rem else (0, r - 1)
+    if a * math.log2(q + 1) + b * math.log2(q) > 1100:  # K alone is past float range
+        raise OverflowError(f"n={n}, r={r}: K = {q + 1}^{a} * {q}^{b} is beyond float range")
+    log_p = (q + 1) ** a * q**b * math.log1p(-x)
     return math.exp(log_p + math.log(m))
 
 

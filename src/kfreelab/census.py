@@ -33,6 +33,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -111,18 +112,10 @@ def _bits(plane: np.ndarray, lanes: np.ndarray) -> np.ndarray:
 def _clique_edge_masks(n: int, k: int) -> List[int]:
     """Edge bitmask of every k-clique on vertex subsets of [n]; none when
     k > n, which combinations would learn only after allocating k slots."""
-    from itertools import combinations
-
     if k > n:
         return []
-    out = []
-    for vs in combinations(range(n), k):
-        mask = 0
-        for a in range(k - 1):
-            for b in range(a + 1, k):
-                mask |= 1 << pair_index(n, vs[a], vs[b])
-        out.append(mask)
-    return out
+    return [sum(1 << pair_index(n, a, b) for a, b in combinations(vs, 2))
+            for vs in combinations(range(n), k)]
 
 
 def _partition_cross_masks(n: int, r: int) -> List[int]:

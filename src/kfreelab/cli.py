@@ -219,11 +219,11 @@ def cmd_sweep(args: argparse.Namespace) -> Table:
 
 def cmd_sample(args: argparse.Namespace) -> Table:
     cfg = _chain_config(args, args.m, args.seed)
-    log: Optional[List[dict]] = [] if args.dump else None
-    res = sampler.estimate_rpartite(cfg, args.steps, log=log)
+    records = sampler.run_chains(cfg, args.steps, bool(args.dump))
+    res = sampler.estimate_from(records)
     meta = _make_meta(args.seed)
     if args.dump:
-        trace = [tuple(str(rec[c]) for c in TRACE_COLUMNS) for rec in log]
+        trace = [tuple(map(str, row)) for rec in records for row in rec.trace]
         _emit(TRACE_COLUMNS, trace, meta, "csv", args.dump)
     rows = [
         ("estimate", _fnum(res.estimate)),

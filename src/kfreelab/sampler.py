@@ -24,12 +24,12 @@ work has no callback and no test of the recording schedule.  With r=2
 the accept test needs no call: a triangle through the new pair exists iff
 its endpoints share a neighbour, so the common-neighbour mask is the test.
 
-estimate_rpartite and tv_diagnostic read one chain pass, _chain_pass: per
-chain, a histogram of (r-colorable?, triangles) at the retained steps.  It
-is memoised for one config, so "estimate, then tv on the same config" runs
-its chains once and any other config evicts it; a logged estimate runs it
-uncached.  Triangles are counted only where read (r >= 3, at n <=
-MAX_SUMMARY_VERTICES or into a log): every r=2 state is triangle-free.
+run_chains is the one place chains run.  It returns one immutable
+ChainRecord per chain (the sorted (r-colorable?, triangles) counts at the
+retained steps, accepted moves, steps, and one row per retained step when
+traced) and is memoised for its last arguments, so "estimate, then tv on
+the same config" runs the chains once.  estimate_rpartite, tv_diagnostic
+and the `kfree sample --dump` trace only read records.
 
 The between-chain standard error reported by estimate_rpartite is the
 sample standard deviation of per-chain means divided by sqrt(chains);
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -58,10 +59,13 @@ from .turan import ex_turan, turan_graph
 __all__ = [
     "ChainConfig",
     "ChainState",
+    "ChainRecord",
     "EstimateResult",
     "init_chain",
     "run_steps",
     "retained_samples",
+    "run_chains",
+    "estimate_from",
     "estimate_rpartite",
     "tv_diagnostic",
 ]
@@ -117,10 +121,7 @@ class ChainState:
     accepted_moves: int = field(default=0, init=False)
 
     def current_graph(self) -> LabeledGraph:
-        mask = 0
-        for s in self.present:
-            mask |= 1 << s
-        return LabeledGraph(self.cfg.n, mask)
+        return LabeledGraph(self.cfg.n, sum(1 << s for s in self.present))
 
     def edges_digest(self) -> str:
         data = ",".join(str(s) for s in sorted(self.present)).encode("ascii")
@@ -225,6 +226,17 @@ def run_steps(
                 nxt += thin
 
 
+class ChainRecord(NamedTuple):
+    """One chain's run: the sorted ((r-colorable?, triangles), count) pairs
+    at its retained steps, its accepted moves and steps taken, and, when
+    traced, one (step, is_rcol, triangles, edges_hash) row per retained step."""
+
+    counts: Tuple[Tuple[Tuple[bool, int], int], ...]
+    accepted: int
+    steps: int
+    trace: Tuple[Tuple[int, int, int, str], ...] = ()
+
+
 class EstimateResult(NamedTuple):
     estimate: float
     stderr: float
@@ -233,106 +245,80 @@ class EstimateResult(NamedTuple):
 
 def retained_samples(cfg: ChainConfig, total_steps: int) -> int:
     """How many samples estimate_rpartite will keep for this budget."""
-    per_chain = total_steps // cfg.chains
-    if per_chain <= cfg.burn_in:
-        return 0
-    return cfg.chains * ((per_chain - cfg.burn_in) // cfg.thin)
+    return cfg.chains * (max(total_steps // cfg.chains - cfg.burn_in, 0) // cfg.thin)
 
 
-def _check_budget(cfg: ChainConfig, total_steps: int) -> None:
-    # every chain runs the same moves, so none retains a sample or all do
-    if retained_samples(cfg, total_steps) == 0:
+@functools.lru_cache(maxsize=1)
+def run_chains(cfg: ChainConfig, total_steps: int, trace: bool = False) -> Tuple[ChainRecord, ...]:
+    """Run each of cfg.chains chains total_steps // chains moves and return
+    their records in chain order; DomainError, before any chain runs, when
+    none would retain a sample.  Memoised for the last argument tuple.
+    Triangles are counted where read: into counts for r >= 3 at n <=
+    MAX_SUMMARY_VERTICES (every r=2 state is triangle-free, and elsewhere
+    the count is 0), into a trace for r >= 3 at every n."""
+    if retained_samples(cfg, total_steps) == 0:  # every chain runs the same moves
         raise DomainError(
             f"total_steps={total_steps}, chains={cfg.chains}, burn_in={cfg.burn_in}, "
             f"thin={cfg.thin}: no chain retains a sample"
         )
-
-
-@functools.lru_cache(maxsize=1)
-def _chain_pass(cfg: ChainConfig, per_chain: int, log: Optional[list] = None) -> tuple:
-    """Run each of cfg.chains chains per_chain moves.  Per chain: the count
-    of each (r-colorable?, triangles) key at the retained steps,
-    accepted_moves and steps_taken.  Callers must not mutate the result.
-    When log is given (uncached, through __wrapped__), one dict per retained
-    sample is appended, chains concatenated in order."""
-    count_triangles = cfg.r >= 3 and (log is not None or cfg.n <= MAX_SUMMARY_VERTICES)
-    runs = []
+    keyed = cfg.r >= 3 and cfg.n <= MAX_SUMMARY_VERTICES
+    counted = keyed or (trace and cfg.r >= 3)
+    records = []
     for ci in range(cfg.chains):
         state = init_chain(cfg, ci)
         hist: Dict[Tuple[bool, int], int] = {}
+        rows: List[Tuple[int, int, int, str]] = []
 
-        def record(st: ChainState, _hist: Dict = hist) -> None:
-            key = (st.is_r_colorable(), st.triangle_count() if count_triangles else 0)
+        def record(st: ChainState, _hist: Dict = hist, _rows: List = rows) -> None:
+            rcol = st.is_r_colorable()
+            tri = st.triangle_count() if counted else 0
+            key = (rcol, tri if keyed else 0)
             _hist[key] = _hist.get(key, 0) + 1
-            if log is not None:
-                log.append({"step": st.steps_taken, "is_rcol": int(key[0]),
-                            "triangles": key[1], "edges_hash": st.edges_digest()})
+            if trace:
+                _rows.append((st.steps_taken, int(rcol), tri, st.edges_digest()))
 
-        run_steps(state, per_chain, on_sample=record)
-        runs.append((hist, state.accepted_moves, state.steps_taken))
-    return tuple(runs)
+        run_steps(state, total_steps // cfg.chains, on_sample=record)
+        records.append(ChainRecord(tuple(sorted(hist.items())), state.accepted_moves,
+                                   state.steps_taken, tuple(rows)))
+    return tuple(records)
 
 
-def estimate_rpartite(
-    cfg: ChainConfig,
-    total_steps: int,
-    *,
-    log: Optional[List[dict]] = None,
-) -> EstimateResult:
-    """Monte Carlo estimate of the fraction of clique-free (n, m) graphs
-    that are r-colorable, with between-chain standard error.
-
-    The step budget is split evenly: each of cfg.chains chains runs
-    total_steps // chains moves and records the indicator after burn-in at
-    the thinning cadence.  stderr is 0.0 for a single chain.  When log is
-    given, one dict per retained sample is appended (step, is_rcol,
-    triangles, edges_hash), chains concatenated in order.
-    """
-    _check_budget(cfg, total_steps)
-    per_chain = total_steps // cfg.chains
-    if log is None:
-        runs = _chain_pass(cfg, per_chain)
-    else:
-        runs = _chain_pass.__wrapped__(cfg, per_chain, log)
+def estimate_from(records: Tuple[ChainRecord, ...]) -> EstimateResult:
+    """The r-colorable fraction of the retained samples, averaged over
+    chains, with the between-chain standard error (0.0 for one chain) and
+    the pooled acceptance rate."""
     chain_means = [
-        sum(c for (ok, _), c in hist.items() if ok) / sum(hist.values())
-        for hist, _, _ in runs
+        sum(c for (ok, _), c in rec.counts if ok) / sum(c for _, c in rec.counts)
+        for rec in records
     ]
-    accepted = sum(a for _, a, _ in runs)
-    stepped = sum(t for _, _, t in runs)
-    estimate = sum(chain_means) / len(chain_means)
-    if len(chain_means) > 1:
-        var = sum((x - estimate) ** 2 for x in chain_means) / (len(chain_means) - 1)
-        stderr = sqrt(var / len(chain_means))
-    else:
-        stderr = 0.0
-    return EstimateResult(
-        estimate=estimate,
-        stderr=stderr,
-        acceptance_rate=accepted / stepped if stepped else 0.0,
-    )
+    k = len(chain_means)
+    estimate = sum(chain_means) / k
+    var = sum((x - estimate) ** 2 for x in chain_means) / (k - 1) if k > 1 else 0.0
+    accepted = sum(rec.accepted for rec in records)
+    return EstimateResult(estimate, sqrt(var / k), accepted / sum(rec.steps for rec in records))
+
+
+def estimate_rpartite(cfg: ChainConfig, total_steps: int) -> EstimateResult:
+    """Monte Carlo estimate of the fraction of clique-free (n, m) graphs
+    that are r-colorable: estimate_from(run_chains(cfg, total_steps))."""
+    return estimate_from(run_chains(cfg, total_steps))
 
 
 def tv_diagnostic(cfg: ChainConfig, total_steps: int) -> float:
     """Total-variation distance between the sampler's empirical law of
-    (r-colorable?, triangle count) and the exact census law at (n, r, m).
+    (r-colorable?, triangle count) over run_chains(cfg, total_steps) and
+    the exact census law at (n, r, m).
 
     Needs the exact joint distribution: beyond n = MAX_SUMMARY_VERTICES,
-    census.summary_counts raises SizeError."""
+    census.summary_counts raises SizeError before any chain runs.  The law
+    is never empty: ChainConfig admits only m <= ex(n, r+1)."""
     exact_counts = census.summary_counts(cfg.n, cfg.r, cfg.m)
     total_exact = sum(exact_counts.values())
-    if total_exact == 0:
-        raise DomainError(
-            f"m={cfg.m}: no clique-free graph with that edge count at n={cfg.n}"
-        )
-    _check_budget(cfg, total_steps)
-    empirical: Dict[Tuple[bool, int], int] = {}
-    for hist, _, _ in _chain_pass(cfg, total_steps // cfg.chains):
-        for key, count in hist.items():
-            empirical[key] = empirical.get(key, 0) + count
+    empirical: Counter = Counter()
+    for rec in run_chains(cfg, total_steps):
+        empirical.update(dict(rec.counts))
     samples = sum(empirical.values())
-    keys = set(empirical) | set(exact_counts)
     return 0.5 * sum(
-        abs(empirical.get(k, 0) / samples - exact_counts.get(k, 0) / total_exact)
-        for k in keys
+        abs(empirical[k] / samples - exact_counts.get(k, 0) / total_exact)
+        for k in set(empirical) | set(exact_counts)
     )

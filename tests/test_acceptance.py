@@ -40,6 +40,7 @@ from kfreelab import (
     mu_delta_closed_form,
     mu_delta_exact,
     p_r,
+    run_chains,
     theta,
     tv_diagnostic,
 )
@@ -366,10 +367,10 @@ def test_criterion_09_sampler_validity():
             assert tv <= 0.02, (n, m, tv)
 
     cfg = ChainConfig(n=6, r=2, m=7, seed=99, burn_in=500, thin=10, chains=4)
-    la, lb = [], []
-    ra = estimate_rpartite(cfg, 10**5, log=la)
-    rb = estimate_rpartite(cfg, 10**5, log=lb)
-    determinism = ra == rb and la == lb and len(la) > 0
+    ra = run_chains(cfg, 10**5, trace=True)
+    run_chains.cache_clear()  # the second traced run steps its own chains
+    rb = run_chains(cfg, 10**5, trace=True)
+    determinism = ra == rb and all(rec.trace for rec in ra)
     report(
         9, determinism,
         f"estimate within 0.02 of census on every feasible m for n=5,6 "

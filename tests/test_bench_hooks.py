@@ -24,7 +24,7 @@ def test_tracer_hooks_record_each_layer(monkeypatch):
     kf, _ = run.import_program()
     tracer = run.Tracer(lambda: 0)
     inst = run.Instrumentation(tracer, kf)
-    kf.sampler._chain_pass.cache_clear()  # a cached pass would run no chain
+    kf.sampler.run_chains.cache_clear()  # a memoised run would step no chain
     inst.install()
     try:
         kf.census.run_census(4, 2)

@@ -226,6 +226,47 @@ def test_enumeration_size_guard():
     # 24 minimal sets and C(70, 10) > 10^7 subsets: both strategies refuse
     with pytest.raises(SizeError, match="both exact strategies exceed their guards"):
         avoidance_probability_exact(wide_family(), 10)
+    # C(20000, 10000) has over 4300 digits, past int-to-str's default limit:
+    # the message must not print it
+    fam = ForbiddenFamily(20000, tuple((i, i + 1) for i in range(0, 42, 2)))
+    with pytest.raises(SizeError, match="both exact strategies exceed their guards"):
+        avoidance_probability_exact(fam, 10000)
+
+
+def test_exact_binomial_budget_edge(monkeypatch):
+    # one 2-set at m = N/2 needs C(N, m) and C(N - 2, m - 2), about N bits
+    # each: N = 314247 passes the work budget and N = 314248 does not; the
+    # refusal comes before any binomial is built
+    class Reached(Exception):
+        pass
+
+    def no_binomial(*args):
+        raise Reached
+
+    pair = ForbiddenFamily(60000, ((0, 1),))
+    m = 30000
+    assert avoidance_probability_exact(pair, m) == 1 - Fraction(m * (m - 1), 60000 * 59999)
+    monkeypatch.setattr(math, "comb", no_binomial)
+    with pytest.raises(Reached):
+        avoidance_probability_exact(ForbiddenFamily(314247, ((0, 1),)), 314247 // 2)
+    for n, sets in ((314248, ((0, 1),)), (10**6, ((0, 1),)), (10**6, ((0,),) * 21 + ((1, 2),))):
+        with pytest.raises(SizeError, match="budget"):
+            avoidance_probability_exact(ForbiddenFamily(n, sets), n // 2)
+
+
+def test_exact_grouped_terms_on_huge_ground_sets():
+    # C(N - u, m - u) / C(N, m) is a ratio of falling factorials, so the
+    # oracle's answer has a closed form even where N is past float range
+    def falling(x, k):
+        return math.prod(range(x - k + 1, x + 1))
+
+    for n in (10**6, 2**52 + 1, 10**400):
+        m = 50
+        fam = ForbiddenFamily(n, ((0, 1), (1, 2, 3), (0, 1, 2, 3)))
+        # u = 2 and u = 3 once each, and u = 4 for {0,1} with {1,2,3}
+        terms = ((2, 1), (3, 1), (4, -1))
+        want = 1 - sum(c * Fraction(falling(m, u), falling(n, u)) for u, c in terms)
+        assert avoidance_probability_exact(fam, m) == want
 
 
 # -- sandwich ---------------------------------------------------------------

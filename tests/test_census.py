@@ -163,6 +163,37 @@ def test_free_column_matches_vertex_extension(n, r):
     assert [row.free for row in run_census(n, r).rows] == free.tolist()
 
 
+def colourings_by_cover_counts(n, r):
+    """rcol[m] and unique_rcol[m]: the m-edge graphs inside the cross pairs
+    of at least one, and of exactly one, set partition of [n] into at most r
+    classes.  The partitions are restricted-growth strings built here (vertex
+    0 in class 0, each vertex in a used class or the next new one), not
+    enumerate_partitions; one vectorised test per partition marks every
+    mask inside its cross pairs.  No census plane is read."""
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [a + (c,) for a in strings for c in range(min(max(a) + 2, r))]
+    pairs = list(combinations(range(n), 2))  # slot order u(2n-u-1)/2 + (v-u-1)
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    covers = np.zeros(masks.size, dtype=np.uint16)
+    inside = np.empty_like(masks)
+    for a in strings:
+        within = sum(1 << s for s, (u, v) in enumerate(pairs) if a[u] == a[v])
+        np.bitwise_and(masks, np.uint32(within), out=inside)
+        covers += inside == 0
+    edges = np.bitwise_count(masks).astype(np.int64)
+    count = lambda keep: np.bincount(edges[keep], minlength=len(pairs) + 1).tolist()
+    return count(covers >= 1), count(covers == 1)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (6, 7) for r in (2, 3, 4)])
+def test_colouring_columns_match_cover_counts(n, r):
+    rows = run_census(n, r).rows
+    rcol, unique = colourings_by_cover_counts(n, r)
+    assert [row.rcol for row in rows] == rcol
+    assert [row.unique_rcol for row in rows] == unique
+
+
 @pytest.mark.parametrize("n,r", [(n, r) for n in (6, 7) for r in (2, 3, 4)])
 def test_census_matches_closed_forms(n, r):
     table = run_census(n, r)

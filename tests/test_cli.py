@@ -176,13 +176,17 @@ HUGE_R = "100000000"
           "--steps", "20000", "--seed", "1"), 0),
         (("sample", "--n", "6", "--r", HUGE_R, "--m", "3", "--steps", "20000", "--seed", "1"), 0),
         (("bounds", "probe", "--n", "6", "--r", HUGE_R, "--m", "3"), 2),
+        # K, the product of r - 1 class sizes, is past float range: refused
+        # before it is built (at r = 3e5 the unguarded probe took 33 s)
+        (("bounds", "probe", "--n", "1000000000000", "--r", "300000", "--m", "1e20"), 2),
+        (("bounds", "probe", "--n", "1000000000000", "--r", HUGE_R, "--m", "1e20"), 2),
         (("bounds", "pairsum", "--n", "6", "--r", HUGE_R, "--m", "3"), 0),
         # over the pair-sum work budget, refused before a 2000-deep profile walk
         (("bounds", "pairsum", "--n", "2000", "--r", HUGE_R, "--m", "3"), 3),
         (("bounds", "pairsum", "--n", "16", "--r", "4", "--m", "30"), 0),
     ],
-    ids=["thresholds", "census", "sweep-census", "sweep-sampler", "sample", "probe", "pairsum",
-         "pairsum-n2000", "pairsum-n16-r4"],
+    ids=["thresholds", "census", "sweep-census", "sweep-sampler", "sample", "probe",
+         "probe-n1e12-r3e5", "probe-n1e12-r1e8", "pairsum", "pairsum-n2000", "pairsum-n16-r4"],
 )
 def test_huge_r_ends_with_a_defined_exit(argv, code):
     # a child process, so that a hang fails at the timeout instead of
@@ -322,10 +326,11 @@ def test_census_n8_artifacts_are_pinned(capsys, r):
 @pytest.mark.parametrize("n,r,m", sorted(_GOLDEN_SAMPLE))
 def test_sample_artifacts_are_pinned(tmp_path, capsys, n, r, m):
     dump = tmp_path / "dump.csv"
-    rc, out, _ = run(capsys, "sample", "--n", n, "--r", r, "--m", m, "--seed", "7",
-                     "--steps", "20000", "--dump", str(dump))
+    argv = ("sample", "--n", n, "--r", r, "--m", m, "--seed", "7", "--steps", "20000")
+    rc, out, _ = run(capsys, *argv, "--dump", str(dump))
     assert rc == 0
     assert (_sha256(out.encode()), _sha256(dump.read_bytes())) == _GOLDEN_SAMPLE[n, r, m]
+    assert run(capsys, *argv) == (0, out, "")  # the trace changes nothing printed
 
 
 def test_sweep_sampler_artifact_is_pinned(capsys):
@@ -389,6 +394,22 @@ def test_bounds_exact_past_both_guards_is_size_error(tmp_path, capsys):
     ))
     rc, out, err = run(capsys, "bounds", "exact", "--family", str(path), "--m", "10")
     assert rc == 3 and out == "" and "both exact strategies exceed their guards" in err
+
+
+@pytest.mark.parametrize("ground_size", [10**6, 10**7])
+def test_bounds_exact_huge_binomial_is_size_error(tmp_path, ground_size):
+    # C(N, N/2) is N bits; unguarded, N = 10^6 took 18 s and 10^7 did not
+    # end within 120 s.  A child process, so that a hang fails at the timeout
+    path = tmp_path / "pair.json"
+    path.write_text(bounds.family_to_json(bounds.ForbiddenFamily(ground_size, ((0, 1),))))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "kfreelab.cli", "bounds", "exact", "--family", str(path),
+         "--m", str(ground_size // 2)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 3 and done.stdout == "", done.stderr
+    assert "size guard" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_bounds_fkg_precondition_exit(family_file, capsys):

@@ -180,7 +180,7 @@ def test_estimate_matches_census_midrange():
 def test_estimate_determinism():
     cfg = ChainConfig(n=7, r=2, m=8, seed=31, burn_in=100, thin=5, chains=3)
     first = estimate_rpartite(cfg, 9000)
-    sampler._chain_pass.cache_clear()  # the second call must run its own chains
+    sampler.run_chains.cache_clear()  # the second call must run its own chains
     assert first == estimate_rpartite(cfg, 9000)
 
 
@@ -188,11 +188,11 @@ def test_estimate_determinism():
 def test_shared_pass_matches_separate_runs(n, r):
     for m in range(ex_turan(n, r + 1) + 1):
         cfg = ChainConfig(n=n, r=r, m=m, seed=5 * m + n, burn_in=20, thin=3, chains=2)
-        sampler._chain_pass.cache_clear()
+        sampler.run_chains.cache_clear()
         est_alone = estimate_rpartite(cfg, 4000)
-        sampler._chain_pass.cache_clear()
+        sampler.run_chains.cache_clear()
         tv_alone = tv_diagnostic(cfg, 4000)
-        sampler._chain_pass.cache_clear()
+        sampler.run_chains.cache_clear()
         assert estimate_rpartite(cfg, 4000) == est_alone, m
         assert tv_diagnostic(cfg, 4000) == tv_alone, m
 
@@ -206,12 +206,12 @@ def test_shared_pass_runs_each_chain_once(monkeypatch):
         original(state, nsteps, **kwargs)
 
     monkeypatch.setattr(sampler, "run_steps", counted)
-    sampler._chain_pass.cache_clear()
+    sampler.run_chains.cache_clear()
     cfg = ChainConfig(n=6, r=3, m=9, seed=8, burn_in=10, thin=4, chains=3)
     estimate_rpartite(cfg, 3000)
     tv_diagnostic(cfg, 3000)
     assert calls == [1000] * 3
-    estimate_rpartite(cfg, 3000, log=[])  # a logged run steps its own chains
+    sampler.run_chains(cfg, 3000, trace=True)  # a traced run steps its own chains
     assert len(calls) == 6
     other = ChainConfig(n=6, r=3, m=10, seed=8, burn_in=10, thin=4, chains=3)
     tv_diagnostic(other, 3000)
@@ -220,21 +220,40 @@ def test_shared_pass_runs_each_chain_once(monkeypatch):
     assert len(calls) == 12
 
 
-def test_logged_estimate_equals_unlogged():
-    for r, m in ((2, 7), (3, 11)):
-        cfg = ChainConfig(n=6, r=r, m=m, seed=13, burn_in=30, thin=7, chains=3)
-        sampler._chain_pass.cache_clear()
-        log = []
-        assert estimate_rpartite(cfg, 6000, log=log) == estimate_rpartite(cfg, 6000)
-        assert len(log) == retained_samples(cfg, 6000)
-        # tv_diagnostic reads the cached pass; the log is an independent record
-        emp = Counter((bool(rec["is_rcol"]), rec["triangles"]) for rec in log)
-        exact = summary_counts(cfg.n, r, m)
-        total = sum(exact.values())
-        want = 0.5 * sum(
-            abs(emp[k] / len(log) - exact.get(k, 0) / total) for k in set(emp) | set(exact)
-        )
-        assert tv_diagnostic(cfg, 6000) == pytest.approx(want, abs=1e-12)
+@pytest.mark.parametrize("n,r,m", [(6, 2, 7), (6, 3, 11), (10, 3, 25)])
+def test_traced_run_equals_untraced(n, r, m):
+    cfg = ChainConfig(n=n, r=r, m=m, seed=13, burn_in=30, thin=7, chains=3)
+    sampler.run_chains.cache_clear()
+    plain = sampler.run_chains(cfg, 6000)
+    traced = sampler.run_chains(cfg, 6000, trace=True)
+    assert all(rec.trace == () for rec in plain)
+    assert [rec._replace(trace=()) for rec in traced] == list(plain)
+    for rec in traced:
+        assert len(rec.trace) == sum(c for _, c in rec.counts)
+        assert Counter((bool(t[1]), t[2] if n <= 7 else 0) for t in rec.trace) == dict(rec.counts)
+    if n > 7:
+        return
+    # tv_diagnostic reads the untraced records; the trace is an independent record
+    emp = Counter((bool(row[1]), row[2]) for rec in traced for row in rec.trace)
+    exact = summary_counts(n, r, m)
+    total, samples = sum(exact.values()), sum(emp.values())
+    want = 0.5 * sum(
+        abs(emp[k] / samples - exact.get(k, 0) / total) for k in set(emp) | set(exact)
+    )
+    assert tv_diagnostic(cfg, 6000) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("chains,total_steps", [(1, 1000), (3, 6001), (4, 4076)])
+def test_records_count_every_retained_sample(chains, total_steps):
+    cfg = ChainConfig(n=6, r=3, m=9, seed=21, burn_in=100, thin=10, chains=chains)
+    records = sampler.run_chains(cfg, total_steps)
+    assert len(records) == chains
+    for rec in records:
+        assert rec.steps == total_steps // chains
+        assert sum(c for _, c in rec.counts) == retained_samples(cfg, total_steps) // chains
+        assert list(rec.counts) == sorted(rec.counts) and 0 <= rec.accepted <= rec.steps
+    with pytest.raises(AttributeError):
+        records[0].steps = 0  # records are immutable, so the memo can be shared
 
 
 def test_estimate_budget_errors():
@@ -268,15 +287,14 @@ def test_budget_without_samples_runs_no_chain(monkeypatch, cfg, total_steps):
     assert calls == []
 
 
-def test_estimate_log_records():
-    log = []
+def test_trace_rows():
     cfg = ChainConfig(n=5, r=2, m=4, seed=2, burn_in=50, thin=25, chains=2)
-    estimate_rpartite(cfg, 1000, log=log)
-    assert len(log) == retained_samples(cfg, 1000)
-    rec = log[0]
-    assert set(rec) == {"step", "is_rcol", "triangles", "edges_hash"}
-    assert rec["triangles"] == 0  # triangle-free by construction when r=2
-    assert len(rec["edges_hash"]) == 16
+    rows = [row for rec in sampler.run_chains(cfg, 1000, trace=True) for row in rec.trace]
+    assert len(rows) == retained_samples(cfg, 1000)
+    step, is_rcol, triangles, edges_hash = rows[0]
+    assert step == 75 and is_rcol in (0, 1)
+    assert triangles == 0  # triangle-free by construction when r=2
+    assert len(edges_hash) == 16
 
 
 def test_tv_zero_at_extremal():
