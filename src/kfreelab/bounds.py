@@ -114,13 +114,12 @@ class ForbiddenFamily:
         object.__setattr__(self, "sets", tuple(canon))
 
     def masks(self) -> List[int]:
-        out = []
-        for b in self.sets:
-            m = 0
-            for i in b:
-                m |= 1 << i
-            out.append(m)
-        return out
+        """One bitmask per set over the slots the family uses, numbered 0, 1,
+        ... in increasing order: sizes and overlaps, so every count, mu and
+        Delta, stay those of the sets, and a slot index of any size costs a
+        bit of its own rank."""
+        rank = {i: k for k, i in enumerate(sorted(set().union(*self.sets)))}
+        return [sum(1 << rank[i] for i in b) for b in self.sets]
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -284,7 +283,7 @@ def avoidance_probability_exact(fam: ForbiddenFamily, m: int) -> Fraction:
         sets = [[(row[w], np.uint64(x)) for w, x in parts.items()] for parts in split]
         cols = min(m, n - m)
         rows = max(1, _ENUM_CHUNK_WORDS // max(cols, len(used)))
-        subsets = combinations(range(n), cols)
+        subsets = combinations(range(n) if cols else (), cols)  # () holds no copy of N slots
         good = 0
         for start in range(0, total, rows):
             k = min(rows, total - start)
@@ -317,21 +316,6 @@ def avoidance_probability_exact(fam: ForbiddenFamily, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _cross_slots(p: Partition) -> Tuple[Tuple[Tuple[int, int], ...], Dict[Tuple[int, int], int]]:
-    """Cross pairs of the partition in canonical pair order, with slot ranks."""
-    edges = []
-    index = {}
-    for u, v in pair_table(p.n):
-        if p.class_of[u] != p.class_of[v]:
-            index[(u, v)] = len(edges)
-            edges.append((u, v))
-    return tuple(edges), index
-
-
-def _slot_of(index: Dict[Tuple[int, int], int], u: int, v: int) -> int:
-    return index[(u, v) if u < v else (v, u)]
-
-
 def krminus_family(p: Partition, missing_edge: Tuple[int, int]) -> ForbiddenFamily:
     """Near-clique completions of one within-class vertex pair.
 
@@ -339,6 +323,8 @@ def krminus_family(p: Partition, missing_edge: Tuple[int, int]) -> ForbiddenFami
     class spans a clique on r+1 vertices whose edges, minus the missing
     pair itself, all cross the partition: a forbidden set of C(r+1,2)-1
     cross slots.  Family size is the product of the other class sizes.
+    Slot k is the k-th set bit of p.cross_edge_mask(), that is the k-th
+    cross pair in pair_table order; slot_edges lists those pairs.
     """
     v, w = missing_edge
     if v == w:
@@ -349,22 +335,16 @@ def krminus_family(p: Partition, missing_edge: Tuple[int, int]) -> ForbiddenFami
             f"missing_edge=({v},{w}): endpoints lie in classes "
             f"{p.class_of[v]} and {p.class_of[w]}, not one class"
         )
-    slot_edges, index = _cross_slots(p)
-    members = [
-        [x for x in range(p.n) if p.class_of[x] == c]
-        for c in range(p.r)
-        if c != ci
-    ]
-    sets = []
-    for chosen in product(*members):
-        verts = [v, w, *chosen]
-        slots = [
-            _slot_of(index, a, b)
-            for a, b in combinations(verts, 2)
-            if {a, b} != {v, w}
-        ]
-        sets.append(tuple(sorted(slots)))
-    return ForbiddenFamily(ground_size=len(slot_edges), sets=tuple(sets), slot_edges=slot_edges)
+    cross = p.cross_edge_mask()
+    slot_edges = tuple(e for i, e in enumerate(pair_table(p.n)) if cross >> i & 1)
+    slot = {e: k for k, e in enumerate(slot_edges)}
+    members = [[x for x in range(p.n) if p.class_of[x] == c] for c in range(p.r) if c != ci]
+    # {v, w} is the clique's one pair that does not cross the partition
+    sets = tuple(
+        tuple(sorted(slot[e] for e in combinations(sorted((v, w, *chosen)), 2) if e in slot))
+        for chosen in product(*members)
+    )
+    return ForbiddenFamily(ground_size=len(slot_edges), sets=sets, slot_edges=slot_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +363,19 @@ def mu_delta_closed_form(
     near-clique families over every edge of u_graph (all within-class).
 
     Writing N_s for the maximum product of s class sizes and c=C(r+1,2),
-    the per-pair-of-missing-edges contributions are bounded by
+    the per-pair-of-missing-edges contributions are bounded by sums
 
-      D1 (same class, disjoint)        sum_{s=2}^{r-1} C(r-1,s) N_s N_{r-s-1}^2 p^(2c-C(s,2)-2)
-      D2 (same class, shared endpoint) sum_{s=1}^{r-1} C(r-1,s) N_s N_{r-s-1}^2 p^(2c-C(s+1,2)-2)
-      D3 (identical missing edge)      sum_{s=1}^{r-2} C(r-1,s) N_s N_{r-s-1}^2 p^(2c-C(s+2,2)-1)
-      D4 (different classes)           sum_{s=2}^{r-2} C(r-2,s) N_s N_{r-s-1}^2 p^(2c-C(s,2)-2)
-                                     + 4 sum_{s=1}^{r-2} C(r-2,s) N_s N_{r-s-1} N_{r-s-2} p^(2c-C(s+1,2)-2)
-                                     + 4 sum_{s=0}^{r-2} C(r-2,s) N_s N_{r-s-2}^2 p^(2c-C(s+2,2)-2)
+      S(t, lo, hi, a, b, j, e)
+          = sum_{s=lo}^{hi-1} C(t,s) N_s N_{r-s-a} N_{r-s-b} p^(2c-C(s+j,2)-e),
+
+    one call of the summand per row:
+
+      D1 (same class, disjoint)            S(r-1, 2, r,   1, 1, 0, 2)
+      D2 (same class, shared endpoint)     S(r-1, 1, r,   1, 1, 1, 2)
+      D3 (identical missing edge)          S(r-1, 1, r-1, 1, 1, 2, 1)
+      D4 (different classes)               S(r-2, 2, r-1, 1, 1, 0, 2)
+                                       + 4 S(r-2, 1, r-1, 1, 2, 1, 2)
+                                       + 4 S(r-2, 0, r-1, 2, 2, 2, 2)
 
     (s counts shared vertices outside the class(es) holding the missing
     edges; D3 vanishes for r < 3).  Every sum is kept in full — no
@@ -431,42 +416,18 @@ def mu_delta_closed_form(
     for s in range(1, r + 1):
         big_n[s] = big_n[s - 1] * desc[s - 1]
 
-    def pw(e: int) -> Number:
-        return pv**e
+    def dsum(t: int, lo: int, hi: int, a: int, b: int, j: int, e: int) -> Number:
+        return sum(
+            math.comb(t, s) * big_n[s] * big_n[r - s - a] * big_n[r - s - b]
+            * pv ** (2 * c - math.comb(s + j, 2) - e)
+            for s in range(lo, hi)
+        )
 
-    two_c = 2 * c
-    d1 = sum(
-        math.comb(r - 1, s) * big_n[s] * big_n[r - s - 1] ** 2 * pw(two_c - math.comb(s, 2) - 2)
-        for s in range(2, r)
-    )
-    d2 = sum(
-        math.comb(r - 1, s) * big_n[s] * big_n[r - s - 1] ** 2 * pw(two_c - math.comb(s + 1, 2) - 2)
-        for s in range(1, r)
-    )
-    d3 = sum(
-        math.comb(r - 1, s) * big_n[s] * big_n[r - s - 1] ** 2 * pw(two_c - math.comb(s + 2, 2) - 1)
-        for s in range(1, r - 1)
-    )
-    d4 = (
-        sum(
-            math.comb(r - 2, s) * big_n[s] * big_n[r - s - 1] ** 2 * pw(two_c - math.comb(s, 2) - 2)
-            for s in range(2, r - 1)
-        )
-        + 4
-        * sum(
-            math.comb(r - 2, s)
-            * big_n[s]
-            * big_n[r - s - 1]
-            * big_n[r - s - 2]
-            * pw(two_c - math.comb(s + 1, 2) - 2)
-            for s in range(1, r - 1)
-        )
-        + 4
-        * sum(
-            math.comb(r - 2, s) * big_n[s] * big_n[r - s - 2] ** 2 * pw(two_c - math.comb(s + 2, 2) - 2)
-            for s in range(0, r - 1)
-        )
-    )
+    d1 = dsum(r - 1, 2, r, 1, 1, 0, 2)
+    d2 = dsum(r - 1, 1, r, 1, 1, 1, 2)
+    d3 = dsum(r - 1, 1, r - 1, 1, 1, 2, 1)
+    d4 = (dsum(r - 2, 2, r - 1, 1, 1, 0, 2) + 4 * dsum(r - 2, 1, r - 1, 1, 2, 1, 2)
+          + 4 * dsum(r - 2, 0, r - 1, 2, 2, 2, 2))
 
     zero: Number = Fraction(0) if exact else 0.0
     deg: Counter = Counter()
@@ -480,7 +441,7 @@ def mu_delta_closed_form(
     diff_cls = e_u * e_u - sum(e * e for e in class_edges.values())
     delta = (same_cls - shared) * d1 + shared * d2 + e_u * d3 + diff_cls * d4
 
-    mu_lower = e_u * min(sizes) ** (r - 1) * pw(c - 1)
+    mu_lower = e_u * min(sizes) ** (r - 1) * pv ** (c - 1)
     return MuDelta(mu=mu_lower + zero, delta=delta + zero, p=pv)
 
 
@@ -581,11 +542,7 @@ def construct_regularized_hypergraph(
                     f"W[{ell}][{j}]: vertex id outside 0..{class_sizes[j] - 1}"
                 )
 
-    mid_index_sets = [
-        idx
-        for size in range(2, r)
-        for idx in combinations(range(r), size)
-    ]
+    mid_index_sets = [idx for size in range(2, r) for idx in combinations(range(r), size)]
     codeg: Dict[Tuple[int, ...], Counter] = {idx: Counter() for idx in mid_index_sets}
     hyperedges: List[Tuple[int, ...]] = []
     edge_set: set = set()
@@ -593,42 +550,22 @@ def construct_regularized_hypergraph(
 
     for wv in w_lists:
         e_h = len(hyperedges)
-        thresholds = {
-            idx: (params.c2 / 2) * e_h / n ** len(idx) for idx in mid_index_sets
-        }
-
-        useful = True
+        saturated = {}  # per index set, the sub-tuples of the W-product over their cap
         for idx in mid_index_sets:
-            budget = params.lam * dstar ** len(idx)
-            saturated = sum(
-                1
-                for sub in product(*(wv[j] for j in idx))
-                if codeg[idx][sub] > thresholds[idx]
-            )
-            if saturated > budget:
-                useful = False
-                break
-        if useful:
-            present = sum(1 for t in product(*wv) if t in edge_set)
-            if present > params.lam * dstar**r:
-                useful = False
-        flags.append(useful)
-
-        added = []
-        for t in product(*wv):
-            if t in edge_set:
-                continue
-            if any(
-                codeg[idx][tuple(t[j] for j in idx)] > thresholds[idx]
-                for idx in mid_index_sets
-            ):
-                continue
-            added.append(t)
-        for t in added:
-            hyperedges.append(t)
-            edge_set.add(t)
-            for idx in mid_index_sets:
-                codeg[idx][tuple(t[j] for j in idx)] += 1
+            cap = (params.c2 / 2) * e_h / n ** len(idx)
+            subs = product(*(wv[j] for j in idx))
+            saturated[idx] = {sub for sub in subs if codeg[idx][sub] > cap}
+        fresh = [t for t in product(*wv) if t not in edge_set]  # the lists hold distinct ids
+        flags.append(
+            all(len(sat) <= params.lam * dstar ** len(idx) for idx, sat in saturated.items())
+            and dstar**r - len(fresh) <= params.lam * dstar**r
+        )
+        for t in fresh:  # the step's caps were fixed above, so adding as we go is safe
+            if not any(tuple(t[j] for j in idx) in sat for idx, sat in saturated.items()):
+                hyperedges.append(t)
+                edge_set.add(t)
+                for idx in mid_index_sets:
+                    codeg[idx][tuple(t[j] for j in idx)] += 1
 
     return hyperedges, flags
 

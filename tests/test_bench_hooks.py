@@ -35,6 +35,14 @@ def test_tracer_hooks_record_each_layer(monkeypatch):
         # 21 minimal sets pass inclusion-exclusion's guard: direct enumeration
         fam = kf.bounds.ForbiddenFamily(8, tuple(itertools.combinations(range(7), 2)))
         kf.bounds.avoidance_probability_exact(fam, 3)
+        # one near-clique instance, as the bounds-exact workload runs it
+        part = kf.graph_core.Partition(6, 2, (0, 0, 0, 1, 1, 1))
+        fam = kf.bounds.krminus_family(part, (0, 1))
+        md = kf.bounds.mu_delta_exact(fam, 4, exact=True)
+        kf.bounds.janson_upper(md)
+        kf.bounds.fkg_lower(fam, 4, 0.5)
+        u = kf.graph_core.LabeledGraph.from_edge_list(6, [(0, 1)])
+        kf.bounds.mu_delta_closed_form(part, u, md.p, exact=True)
     finally:
         inst.remove()
     assert {
@@ -44,4 +52,9 @@ def test_tracer_hooks_record_each_layer(monkeypatch):
         "graph_core.enumerate_partitions",
         "bounds.exact_ie",
         "bounds.exact_enum",
+        "bounds.krminus_family",
+        "bounds.mu_delta_exact",
+        "bounds.closed_form",
+        "bounds.janson",
+        "bounds.fkg",
     } <= set(tracer.names)

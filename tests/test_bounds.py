@@ -1,6 +1,7 @@
 """Probability-bound machinery: hand-checked fixtures, dual-route exact
 oracles, structural family builders, and the regularization procedure."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -36,7 +37,7 @@ from kfreelab import (
 
 
 def brute_avoidance(fam, m):
-    masks = fam.masks()
+    masks = [sum(1 << i for i in b) for b in fam.sets]  # the slot indices, not fam.masks()
     good = 0
     for combo in combinations(range(fam.ground_size), m):
         rmask = 0
@@ -222,6 +223,33 @@ def test_enumeration_matches_brute_force_on_random_families():
         assert avoidance_probability_exact(fam, m) == brute_avoidance(fam, m)
 
 
+@pytest.mark.parametrize("n", [2**52 - 1, 10**20])
+def test_enumeration_on_a_huge_ground_set_at_m_0_and_n(n):
+    # 25 singletons pass inclusion-exclusion's guard, so the enumeration runs
+    # its C(N, 0) = C(N, N) = 1 subset, which needs no walk of the N slots
+    fam = ForbiddenFamily(n, tuple((i,) for i in range(25)))
+    assert avoidance_probability_exact(fam, 0) == 1
+    assert avoidance_probability_exact(fam, n) == 0
+
+
+def test_huge_slot_indices():
+    # counts, mu and Delta depend on set sizes and overlaps alone, so a slot
+    # index of any size costs no more than a small one
+    far = ForbiddenFamily(10**19, ((10**18,),))
+    assert avoidance_probability_exact(far, 3) == 1 - Fraction(3, 10**19)
+    md = mu_delta_exact(far, 3, exact=True)
+    assert (md.mu, md.delta) == (Fraction(3, 10**19), 0)
+    n, m, big = 10**30, 4, 10**29
+    fam = ForbiddenFamily(n, ((big, 5), (5, big + 1), (7,)))
+    md, p = mu_delta_exact(fam, m, exact=True), Fraction(m, n)
+    assert (md.mu, md.delta) == (2 * p**2 + p, 2 * p**3)
+    # inclusion-exclusion by hand: R holds a fixed u-set with chance
+    # m(m-1)...(m-u+1) / n(n-1)...(n-u+1); the three sets pairwise span 3 slots
+    held = [Fraction(math.perm(m, u), math.perm(n, u)) for u in range(5)]
+    want = 1 - (2 * held[2] + held[1] - 3 * held[3] + held[4])
+    assert avoidance_probability_exact(fam, m) == want
+
+
 def test_enumeration_size_guard():
     # 24 minimal sets and C(70, 10) > 10^7 subsets: both strategies refuse
     with pytest.raises(SizeError, match="both exact strategies exceed their guards"):
@@ -303,6 +331,24 @@ def test_krminus_structure():
     assert fam.sets == ((0, 2), (1, 3))  # slots {(0,2),(1,2)} and {(0,3),(1,3)}
 
 
+def test_krminus_golden_slots():
+    # pinned slots: the classes interleave, so a slot's rank is not its
+    # pair_table index, and each missing edge comes larger endpoint first
+    fam = krminus_family(Partition(7, 3, (0, 1, 2, 0, 1, 0, 2)), (5, 0))
+    assert fam.ground_size == 16
+    assert fam.slot_edges == (
+        (0, 1), (0, 2), (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6),
+        (2, 3), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6),
+    )
+    assert fam.sets == (
+        (0, 1, 4, 6, 10), (0, 3, 6, 7, 15), (1, 2, 9, 10, 13), (2, 3, 13, 14, 15)
+    )
+    fam = krminus_family(Partition(5, 2, (1, 0, 1, 0, 1)), (4, 0))
+    assert fam.ground_size == 6
+    assert fam.slot_edges == ((0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4))
+    assert fam.sets == ((0, 3), (1, 5))
+
+
 def test_krminus_rejects_cross_pair():
     p = Partition(4, 2, (0, 0, 1, 1))
     with pytest.raises(DomainError, match="classes"):
@@ -350,6 +396,34 @@ def test_closed_form_single_edge_r2_has_zero_delta():
     md = mu_delta_closed_form(p, u, Fraction(1, 2), exact=True)
     assert md.delta == 0
     assert md.mu == Fraction(1, 2)  # 1 * 2^(2-1) * (1/2)^2
+
+
+# Pinned mu_delta_closed_form values:
+# r -> (mu, Delta) at p = 1/3 in rationals, then (mu, Delta) at p = 0.3 in
+# floats.  The hosts' class sizes are (4, 3, 2, 2, 1)[:r], and U holds two
+# disjoint and two adjacent pairs in class 0 and two adjacent pairs in class
+# 1, so every D row whose sum is nonempty at r enters Delta.  The sandwich
+# tests check only the direction of a bound; these catch a wrong coefficient.
+CLOSED_FORM_GOLDEN = {
+    2: ("5/3", "8/3", 1.3499999999999999, 1.9439999999999997),
+    3: ("20/243", "736/2187", 0.04859999999999999, 0.14554922399999995),
+    4: ("40/19683", "64544/14348907", 0.0007873199999999998, 0.0011010746664518395),
+    5: ("5/4782969", "1180544/94143178827", 2.3914844999999985e-07, 1.6534292372254833e-06),
+}
+
+
+@pytest.mark.parametrize("r", sorted(CLOSED_FORM_GOLDEN))
+def test_closed_form_golden_values(r):
+    class_of = tuple(c for c, s in enumerate((4, 3, 2, 2, 1)[:r]) for _ in range(s))
+    p = Partition(len(class_of), r, class_of)
+    u = LabeledGraph.from_edge_list(p.n, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+    mu, delta, fmu, fdelta = CLOSED_FORM_GOLDEN[r]
+    md = mu_delta_closed_form(p, u, Fraction(1, 3), exact=True)
+    assert (md.mu, md.delta, md.p) == (Fraction(mu), Fraction(delta), Fraction(1, 3))
+    assert type(md.mu) is type(md.delta) is Fraction
+    md = mu_delta_closed_form(p, u, 0.3)
+    assert (md.mu, md.delta) == (fmu, fdelta)  # equal to the last bit
+    assert type(md.mu) is type(md.delta) is float
 
 
 def test_closed_form_rejects_cross_class_edges():
@@ -499,6 +573,35 @@ def test_regularization_caps_and_useful_gain():
         for i, fl in enumerate(flags):
             if fl:
                 assert sizes_before[i + 1] - sizes_before[i] >= dstar**r / 2
+
+
+def test_regularization_flag_at_its_budgets():
+    # at most lam * dstar^|I| saturated sub-tuples and lam * dstar^r present
+    # tuples leave a step useful: here exactly one saturated pair (0,1) -> (1,1)
+    # of a budget of 4 * 1/4, then exactly 2 present tuples of 4 * 1/2
+    w = [[[0, 1], [0, 1], [0, 1]], [[1, 2], [1, 2], [2, 3]]]
+    for lam, flags in ((0.25, [True, True]), (0.24, [True, False])):
+        h, got = construct_regularized_hypergraph(w, RegularizationParams(36.0, 2, lam), [4, 4, 4])
+        assert got == flags and len(h) == 14  # the two tuples on (1,1) are blocked
+    w = [[[0, 1], [0, 1]], [[0, 1], [0, 2]]]
+    for lam, flags in ((0.5, [True, True]), (0.49, [True, False])):
+        h, got = construct_regularized_hypergraph(w, RegularizationParams(1.0, 2, lam), [3, 3])
+        assert got == flags and len(h) == 6
+
+
+def test_regularization_golden_run():
+    # a pinned run: c2 and lam make some steps useful and some not, and
+    # block some tuples (121 of the 384 in the W-products are added)
+    rnd = random.Random(18)
+    sizes = (6, 5, 4, 4)
+    w = [[rnd.sample(range(s), 2) for s in sizes] for _ in range(24)]
+    params = RegularizationParams(c2=200.0, dstar=2, lam=0.4)
+    h, flags = construct_regularized_hypergraph(w, params, sizes)
+    assert len(h) == 121
+    assert "".join("01"[f] for f in flags) == "111111000111110001010000"
+    assert h[:2] == [(1, 3, 1, 3), (1, 3, 1, 2)] and h[-1] == (2, 1, 0, 3)
+    digest = hashlib.sha256(repr(h).encode()).hexdigest()
+    assert digest == "7ea2902a8ab032b8c947d8324db3281f7c12867143c1a2421f3b756e1eaf7ae2"
 
 
 def test_regularization_validation():

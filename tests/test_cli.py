@@ -12,7 +12,7 @@ import pytest
 
 from kfreelab import bounds, census, sampler, thresholds
 from kfreelab.cli import main
-from test_census import bipartite_by_edges, closed_pair_sum
+from test_census import bipartite_by_edges, closed_pair_sum, free_by_vertex_extension
 
 
 def run(capsys, *argv):
@@ -312,8 +312,11 @@ def test_census_n8_artifacts_are_pinned(capsys, r):
     rc, out, _ = run(capsys, "census", "--n", "8", "--r", r, "--format", "csv")
     assert rc == 0
     assert _sha256(out.encode()) == _GOLDEN_CENSUS_N8[r]
-    # independent of the engine: the closed forms of tests/test_census.py
+    # independent of the engine: the closed forms and the vertex-extension
+    # count of tests/test_census.py
     header, rows = csv_rows(out)
+    free = free_by_vertex_extension(8, int(r)).tolist()
+    assert [int(row[header.index("free")]) for row in rows] == free
     bipartite = bipartite_by_edges(8)[8]
     for row in rows:
         w = dict(zip(header, map(int, row)))
@@ -410,6 +413,24 @@ def test_bounds_exact_huge_binomial_is_size_error(tmp_path, ground_size):
     )
     assert done.returncode == 3 and done.stdout == "", done.stderr
     assert "size guard" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        ("janson", {"mu": repr(3 / 10**19), "delta": "0.0", "janson_upper": "1.0"}),
+        ("exact", {"avoidance_exact": "9999999999999999997/10000000000000000000",
+                   "avoidance_float": "1.0"}),
+    ],
+)
+def test_bounds_huge_slot_index(tmp_path, capsys, command, want):
+    # the slot index 10^18 must not become a 10^18-bit mask
+    path = tmp_path / "far.json"
+    path.write_text('{"ground_size": 10000000000000000000, "sets": [[1000000000000000000]]}')
+    rc, out, err = run(capsys, "bounds", command, "--family", str(path), "--m", "3",
+                       "--format", "csv")
+    assert rc == 0 and err == ""
+    assert dict(csv_rows(out)[1]) == want
 
 
 def test_bounds_fkg_precondition_exit(family_file, capsys):
