@@ -114,10 +114,10 @@ class ForbiddenFamily:
         object.__setattr__(self, "sets", tuple(canon))
 
     def masks(self) -> List[int]:
-        """One bitmask per set over the slots the family uses, numbered 0, 1,
-        ... in increasing order: sizes and overlaps, so every count, mu and
-        Delta, stay those of the sets, and a slot index of any size costs a
-        bit of its own rank."""
+        """One bitmask per set.  Bits number the slots the family uses 0, 1,
+        ... in increasing order, not by slot index: sizes and overlaps, and
+        so every count, mu and Delta, are unchanged, and a huge slot index
+        needs no huge mask."""
         rank = {i: k for k, i in enumerate(sorted(set().union(*self.sets)))}
         return [sum(1 << rank[i] for i in b) for b in self.sets]
 
@@ -560,7 +560,7 @@ def construct_regularized_hypergraph(
             all(len(sat) <= params.lam * dstar ** len(idx) for idx, sat in saturated.items())
             and dstar**r - len(fresh) <= params.lam * dstar**r
         )
-        for t in fresh:  # the step's caps were fixed above, so adding as we go is safe
+        for t in fresh:  # saturated is fixed for the step, so adding as we go changes no test
             if not any(tuple(t[j] for j in idx) in sat for idx, sat in saturated.items()):
                 hyperedges.append(t)
                 edge_set.add(t)
