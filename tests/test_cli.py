@@ -291,6 +291,11 @@ _GOLDEN_SAMPLE = {
         "970a25b7af3e8c0ae815f8d7bd72b98c58fd5b278587eeb1bf3b1e69df5820f2",
         "99a86cd72ac36fc15cd61accb4214844bcbad8ce3b8e736a338d4ba684c919b7",
     ),
+    # m = 36 keeps both colourable and non-colourable samples in the trace
+    ("12", "4", "36"): (
+        "739b889fc874e67a247c63a730f69ca31dd78a873599db090d26ff2b1d20383d",
+        "95e61d825dffdf6ba670621dc9358eddd6165bb5bbd6e2540a27d4ae72448c91",
+    ),
 }
 _GOLDEN_SWEEP = "d9092270fc9c5a7a837c9a43dcee60f70e43ec4cd8a14352f8d09e2c3ac7fed6"
 

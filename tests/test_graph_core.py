@@ -30,6 +30,21 @@ PETERSEN = LabeledGraph.from_edge_list(10, [
 ])
 
 
+def mycielski(g):
+    """Mycielski's construction: vertex i gets a shadow n + i joined to the
+    neighbours of i, and every shadow is joined to a new apex 2n.  It keeps
+    the graph triangle-free and raises the chromatic number by one."""
+    n = g.n
+    pairs = list(g.edge_list())
+    pairs += [(u, n + v) for a, b in g.edge_list() for u, v in ((a, b), (b, a))]
+    pairs += [(n + i, 2 * n) for i in range(n)]
+    return LabeledGraph.from_edge_list(2 * n + 1, pairs)
+
+
+GROTZSCH = mycielski(mycielski(LabeledGraph.complete(2)))  # n = 11, chi = 4
+M5 = mycielski(GROTZSCH)  # n = 23, chi = 5
+
+
 def all_graphs(n):
     for mask in range(1 << (n * (n - 1) // 2)):
         yield LabeledGraph(n, mask)
@@ -80,7 +95,15 @@ def test_colorable_iff_min_miscolored_zero_exhaustive_n5():
             assert is_r_colorable(g, r) is (cost == 0)
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("g,chi", [(GROTZSCH, 4), (M5, 5)], ids=["grotzsch", "m5"])
+def test_mycielski_graphs_need_chi_colours(g, chi):
+    assert not contains_clique(g, 3)
+    assert is_r_colorable(g, chi - 1) is False
+    assert is_r_colorable(g, chi) is True
+    assert is_r_colorable(g, 10**8) is True
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_colorable_matches_census_plane_exhaustive_n6(r):
     # the census reads r-colorability off the partition-cover plane, an
     # independent route to the same predicate

@@ -311,6 +311,37 @@ def test_tv_small_and_consistent_under_doubling():
     assert tv2 <= tv1 + 3 * math.sqrt(2 / (4 * n1))  # 2 summary buckets here
 
 
+# r = 3 law points at n = 6.  The chain settings were fixed before the first
+# run.  Each bound is the 99th percentile, over 2000 seeded iid multinomial
+# draws of the same retained count (39600), of the TV distance and, at
+# m = 10, of the r-colourable share's distance from the exact law.
+_R3_LAW_BOUNDS = {5: (0.0064405, None), 8: (0.0072414, None), 10: (0.0071588, 0.0027747)}
+
+
+@pytest.mark.parametrize("m", sorted(_R3_LAW_BOUNDS))
+def test_r3_law_within_iid_spread(m):
+    cfg = ChainConfig(n=6, r=3, m=m, seed=m, burn_in=1000, thin=10, chains=4)
+    steps = 400_000
+    count = retained_samples(cfg, steps)
+    assert count == 39600
+    law = summary_counts(6, 3, m)
+    keys = sorted(law)
+    p = np.array([law[k] for k in keys], dtype=float) / sum(law.values())
+    rcol = np.array([ok for ok, _ in keys])
+    draws = np.random.default_rng(m).multinomial(count, p, size=2000) / count
+    tv_bound, share_bound = _R3_LAW_BOUNDS[m]
+    assert np.percentile(0.5 * np.abs(draws - p).sum(axis=1), 99) == pytest.approx(tv_bound, rel=1e-4)
+    assert tv_diagnostic(cfg, steps) <= tv_bound
+    if share_bound is None:
+        assert rcol.all()  # every state r-colourable: the share is exact
+        return
+    share = p[rcol].sum()
+    assert share == pytest.approx(0.94990, abs=1e-5)
+    spread = np.abs(draws[:, rcol].sum(axis=1) - share)
+    assert np.percentile(spread, 99) == pytest.approx(share_bound, rel=1e-4)
+    assert abs(estimate_rpartite(cfg, steps).estimate - share) <= share_bound
+
+
 def test_tv_guard():
     with pytest.raises(Exception, match="n=8"):
         tv_diagnostic(ChainConfig(n=8, r=2, m=5), 1000)
