@@ -234,12 +234,8 @@ def shard_count(n: int) -> int:
     return 16 if n * (n - 1) // 2 > 24 else 1
 
 
-def run_census(n: int, r: int, *, shards: Optional[int] = None) -> CensusTable:
-    """Exact per-m counts over every one of the 2^C(n,2) labeled graphs.
-
-    shards must be a power of two (default: shard_count(n)); the result
-    is independent of it, which the tests check.
-    """
+def _check_request(n: int, r: int) -> None:
+    # the (n, r) a census answers, computed or loaded from a cache
     if n > MAX_CENSUS_VERTICES:
         raise SizeError(
             f"n={n}: exact census is capped at n <= {MAX_CENSUS_VERTICES} "
@@ -249,6 +245,15 @@ def run_census(n: int, r: int, *, shards: Optional[int] = None) -> CensusTable:
         raise DomainError(f"n={n}: need at least one vertex")
     if r < 1:
         raise DomainError(f"r={r}: need at least one color class")
+
+
+def run_census(n: int, r: int, *, shards: Optional[int] = None) -> CensusTable:
+    """Exact per-m counts over every one of the 2^C(n,2) labeled graphs.
+
+    shards must be a power of two (default: shard_count(n)); the result
+    is independent of it, which the tests check.
+    """
+    _check_request(n, r)
     nslots = n * (n - 1) // 2
     shards = shard_count(n) if shards is None else shards
     if shards < 1 or shards & (shards - 1):

@@ -116,10 +116,12 @@ def cmd_thresholds(args: argparse.Namespace) -> Table:
 
 def _cached_census(args: argparse.Namespace) -> census.CensusTable:
     """Load from --cache-dir when a valid cache exists, else compute (and
-    cache when a directory is configured).  A cached table for another
-    (n, r) than its file name states is a cache error.  A load is reported
-    on stderr, so the artifact stays that of the computed run."""
+    cache when a directory is configured).  The request is checked first,
+    so a cache answers only what run_census would.  A cached table for
+    another (n, r) than its file name states is a cache error.  A load is
+    reported on stderr, so the artifact stays that of the computed run."""
     n, r = args.n, args.r
+    census._check_request(n, r)
     cache_dir = args.cache_dir or os.environ.get("KFREE_CACHE_DIR")
     path = os.path.join(cache_dir, f"census_n{n}_r{r}.txt") if cache_dir else None
     if path and os.path.exists(path):

@@ -129,6 +129,17 @@ def test_census_cache_for_other_n_is_io_error(tmp_path, capsys):
         assert str(copied) in err and "n=5, r=2" in err and "n=6, r=2" in err
 
 
+@pytest.mark.parametrize("n,r,code", [(9, 2, 3), (4, 0, 2)])
+def test_census_cache_never_answers_a_refused_request(tmp_path, capsys, n, r, code):
+    # a well-formed cache file must not let through what the engine refuses
+    rows = tuple(census.CensusRow(m, 0, 0, 0, 0, 0) for m in range(n * (n - 1) // 2 + 1))
+    census.save_census(census.CensusTable(n, r, rows), tmp_path / f"census_n{n}_r{r}.txt")
+    args = ("census", "--n", str(n), "--r", str(r))
+    uncached = run(capsys, *args)
+    assert uncached[0] == code
+    assert run(capsys, *args, "--cache-dir", str(tmp_path)) == uncached
+
+
 def test_census_save_leaves_no_temp_file(tmp_path):
     table = census.run_census(4, 2)
     path = tmp_path / "census_n4_r2.txt"
