@@ -266,60 +266,44 @@ def _bipartite(adj: Sequence[int], n: int) -> bool:
 
 
 def _extendable(adj: Sequence[int], n: int, r: int) -> bool:
-    # Decision backtracking over all n vertices.  Picks the most saturated
-    # undecided vertex first (greatest-constrained ordering), breaking ties
-    # by degree then index.
-    forbidden = [0] * n  # bitmask of colors ruled out per vertex
-    full = (1 << r) - 1
-    deg = [adj[v].bit_count() for v in range(n)]
+    # Backtracking over colour classes, each held as the mask of the vertices
+    # adjacent to it.  The next vertex has neighbours in the most classes,
+    # then the higher degree, then the lower index.  It joins each class it
+    # may, then opens one new class while fewer than r are open: unopened
+    # colours are interchangeable, so no colouring is tried again under a
+    # renaming, and at most n classes ever open.
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
 
-    def rec(undecided: int) -> bool:
+    def rec(undecided: int, classes: Tuple[int, ...]) -> bool:
         if undecided == 0:
             return True
-        best_v = -1
-        best_key = (-1, -1, 0)
-        m = undecided
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            if forbidden[v] == full:
-                return False
-            key = (forbidden[v].bit_count(), deg[v], -v)
-            if key > best_key:
-                best_key, best_v = key, v
-        v = best_v
-        rest = undecided ^ (1 << v)
-        avail = full & ~forbidden[v]
-        while avail:
-            cbit = avail & -avail
-            avail ^= cbit
-            touched = []
-            nb = adj[v] & rest
-            ok = True
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                w = low.bit_length() - 1
-                if not forbidden[w] & cbit:
-                    forbidden[w] |= cbit
-                    touched.append(w)
-                    if forbidden[w] == full:
-                        ok = False  # dead neighbor; undo and try next color
-            if ok and rec(rest):
+        # at_least[j]: the undecided vertices with neighbours in >= j classes
+        at_least = [undecided]
+        for c in classes:
+            at_least.append(at_least[-1] & c)
+            for j in range(len(at_least) - 2, 0, -1):
+                at_least[j] |= at_least[j - 1] & c
+        while not at_least[-1]:
+            at_least.pop()
+        if len(at_least) > r:
+            return False  # a vertex has neighbours in all r classes
+        most = at_least[-1]
+        for v in order:
+            if most >> v & 1:
+                break
+        bit, nb = 1 << v, adj[v]
+        rest = undecided ^ bit
+        for i, c in enumerate(classes):
+            if not c & bit and rec(rest, classes[:i] + (c | nb,) + classes[i + 1:]):
                 return True
-            for w in touched:
-                forbidden[w] ^= cbit
-        return False
+        return len(classes) < r and rec(rest, classes + (nb,))
 
-    return rec((1 << n) - 1)
+    return rec((1 << n) - 1, ())
 
 
 def _colorable(adj: Sequence[int], n: int, r: int) -> bool:
     # Decision-only r-colorability of the graph with neighbor masks adj.
-    if r == 2:
-        return _bipartite(adj, n)
-    return _extendable(adj, n, min(r, n))  # n colours always suffice
+    return _bipartite(adj, n) if r == 2 else _extendable(adj, n, r)
 
 
 def is_r_colorable(g: LabeledGraph, r: int) -> bool:
