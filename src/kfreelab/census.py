@@ -314,7 +314,7 @@ def pair_sum(n: int, r: int, m: int, gamma: Optional[float] = None) -> int:
     per distinct e(Pi).  gamma keeps profiles of exactly r parts in the band
     (1/r - gamma)n .. (1/r + gamma)n, ends included.  SizeError before any big
     binomial when the work passes _PAIR_SUM_BUDGET (n=200, r=4, m=10000; n=2000
-    at r >= 2); n=16, r=4 and n=40, r=2 now answer.  n past float: OverflowError."""
+    at r >= 2).  n past float: OverflowError."""
     if m < 0 or n < 1 or r < 1:
         raise DomainError(f"n={n}, r={r}, m={m}: need n >= 1, r >= 1 and m >= 0")
     if gamma is not None:

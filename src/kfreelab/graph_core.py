@@ -267,7 +267,7 @@ def _bipartite(adj: Sequence[int], n: int) -> bool:
 
 def _extendable(adj: Sequence[int], n: int, r: int) -> bool:
     # Backtracking over colour classes, each held as the mask of the vertices
-    # adjacent to it.  The next vertex has neighbours in the most classes,
+    # with a neighbour in it.  The next vertex has neighbours in the most classes,
     # then the higher degree, then the lower index.  It joins each class it
     # may, then opens one new class while fewer than r are open: unopened
     # colours are interchangeable, so no colouring is tried again under a
