@@ -134,7 +134,7 @@ class MuDelta:
     p: Number
 
     def __post_init__(self) -> None:
-        if self.mu < 0 or self.delta < 0:
+        if not (self.mu >= 0 and self.delta >= 0):  # also rejects nan
             raise DomainError(
                 f"mu={self.mu}, delta={self.delta}: both must be nonnegative"
             )
@@ -153,7 +153,7 @@ class RegularizationParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.c2 <= 0:
+        if not self.c2 > 0:  # also rejects nan
             raise DomainError(f"c2={self.c2}: must be positive")
         if self.dstar < 1:
             raise DomainError(f"dstar={self.dstar}: must be a positive integer")
@@ -397,7 +397,7 @@ def mu_delta_closed_form(
             f"graph has n={u_graph.n} but partition covers n={p_partition.n}"
         )
     pv: Number = Fraction(p) if exact else float(p)
-    if pv < 0 or pv > 1:
+    if not 0 <= pv <= 1:  # also rejects nan
         raise DomainError(f"p={p}: slot density must lie in [0,1]")
     edges = u_graph.edge_list()
     cls = p_partition.class_of

@@ -273,9 +273,6 @@ def run_census(n: int, r: int, *, shards: Optional[int] = None) -> CensusTable:
         rcol += c
         unique += u
 
-    # pair-sum column: aggregate partitions by their cross-pair count first,
-    # then one binomial per distinct value per row
-    cross_counts = Counter(pm.bit_count() for pm in part_masks)
     rows = tuple(
         CensusRow(
             m=m,
@@ -283,7 +280,7 @@ def run_census(n: int, r: int, *, shards: Optional[int] = None) -> CensusTable:
             free_rcol=int(rcol[m]),  # r-colorable implies K_{r+1}-free
             rcol=int(rcol[m]),
             unique_rcol=int(unique[m]),
-            pair_sum=sum(cnt * math.comb(e, m) for e, cnt in cross_counts.items()),
+            pair_sum=pair_sum(n, r, m),
         )
         for m in range(nslots + 1)
     )

@@ -192,11 +192,6 @@ def cmd_sweep(args: argparse.Namespace) -> Table:
     header = ("n", "r", "m", "engine", "fraction_or_estimate", "stderr", "samples", "caveat")
     rows = []
     if args.engine == "census":
-        if n > census.MAX_CENSUS_VERTICES:
-            raise SizeError(
-                f"n={n}: the census engine is capped at n <= "
-                f"{census.MAX_CENSUS_VERTICES}; use --engine sampler"
-            )
         table = _cached_census(args)
         for m in grid:
             frac = census.fraction_rpartite(table, m)

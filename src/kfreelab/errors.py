@@ -8,6 +8,15 @@ parameter in the message.
 
 from __future__ import annotations
 
+__all__ = [
+    "KfreeError",
+    "DomainError",
+    "InfeasibleError",
+    "UndefinedFractionError",
+    "SizeError",
+    "CacheError",
+]
+
 
 class KfreeError(Exception):
     """Base class for every error raised by this package."""

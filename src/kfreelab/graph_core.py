@@ -160,16 +160,8 @@ class Partition:
 
     def cross_edge_mask(self) -> int:
         """Edge bitmask of the complete multipartite graph Pi."""
-        mask = 0
-        slot = 0
         co = self.class_of
-        for i in range(self.n - 1):
-            ci = co[i]
-            for j in range(i + 1, self.n):
-                if ci != co[j]:
-                    mask |= 1 << slot
-                slot += 1
-        return mask
+        return sum(1 << s for s, (i, j) in enumerate(pair_table(self.n)) if co[i] != co[j])
 
 
 def enumerate_partitions(n: int, r: int) -> Iterator[Partition]:

@@ -37,7 +37,7 @@ def _check_r(r: int) -> None:
 def _check_n(n: float) -> None:
     # n >= 3 guarantees log n > 1, keeping every fractional power of the
     # log factor monotone; below that the formulas leave their log-domain.
-    if n < 3:
+    if not n >= 3:  # also rejects nan
         raise DomainError(
             f"n={n}: threshold formulas need n >= 3 (log-domain: the "
             f"(log n)^(1/(C(r+1,2)-1)) factor requires log n >= 1)"

@@ -19,6 +19,7 @@ from .graph_core import _clique_in_mask  # shared clique-in-mask kernel
 
 __all__ = [
     "MultipartiteHost",
+    "balanced_sizes",
     "ex_turan",
     "turan_graph",
     "ex_multipartite",
